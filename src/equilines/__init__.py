@@ -54,7 +54,6 @@ from .spectra import (
     LineSystem,
     SeidelSpectrum,
     char_poly,
-    chi_from_char,
     chi_polynomial,
     embed_lines,
     parse_eigenvalue,

@@ -19,6 +19,7 @@ exhaustive enumeration for small q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .extensibility import extensible_params
 from .fields import FieldCtx, QuadResidues, field_ctx, quad_residue_counts
@@ -78,7 +79,9 @@ def t1_graph(s: int) -> SeidelGraph:
                 continue
             second.add(masks[j - 1])
             second.add(masks[i - 1] ^ masks[j - 1])
-        assert len(second) == 2 * (s - 1)
+        if len(second) != 2 * (s - 1):
+            raise RuntimeError(f"square closure at {i} has {len(second)} "
+                               f"vertices, not {2 * (s - 1)}")
         for v in range(size2):
             target = 2 * i if v in second else 2 * i - 1
             edges.append((target, base2 + v))
@@ -268,19 +271,22 @@ def verify_t1_structure(g: SeidelGraph, y: int) -> T1Structure:
 # ---------------------------------------------------------------------------
 # Paley graphs
 
-def paley_graph(q: int) -> SeidelGraph:
-    """Graph on F_q with a ~ b iff a - b is a nonzero square; needs q = 1 mod 4
-    so that -1 is a square and the relation is symmetric."""
+@lru_cache(maxsize=16)
+def _paley_pairs(q: int) -> tuple:
+    """Index pairs i < j of F_q elements whose difference is a nonzero
+    square; shared by the Paley graph and all its projective transports."""
     field = field_ctx(q)
     if q % 4 != 1:
         raise ValueError("q must be congruent to 1 mod 4")
     C = field.squares
-    edges = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            if field.sub(field.elements[i], field.elements[j]) in C:
-                edges.append((i, j))
-    return SeidelGraph(q, edges)
+    return tuple((i, j) for i in range(q) for j in range(i + 1, q)
+                 if field.sub(field.elements[i], field.elements[j]) in C)
+
+
+def paley_graph(q: int) -> SeidelGraph:
+    """Graph on F_q with a ~ b iff a - b is a nonzero square; needs q = 1 mod 4
+    so that -1 is a square and the relation is symmetric."""
+    return SeidelGraph(q, _paley_pairs(q))
 
 
 def _vec_add(field, a, b):
@@ -300,6 +306,7 @@ def _proj_canon(field, w):
     return (field.zero, field.one)
 
 
+@lru_cache(maxsize=16)
 def _proj_index(field):
     """Canonical vertex order on the projective line: <(1, y)> by field index
     of y, then <(0, 1)> last."""
@@ -328,13 +335,7 @@ def paley_projective(q: int, basis=None) -> SeidelGraph:
     _, index = _proj_index(field)
     theta = [index[_proj_canon(field, _vec_add(field, _vec_scale(field, lam, u), v))]
              for lam in field.elements]
-    C = field.squares
-    edges = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            if field.sub(field.elements[i], field.elements[j]) in C:
-                edges.append((theta[i], theta[j]))
-    return SeidelGraph(q + 1, edges)
+    return SeidelGraph(q + 1, [(theta[i], theta[j]) for i, j in _paley_pairs(q)])
 
 
 def _gl2_point_perm(field, phi, pts, index):

@@ -86,6 +86,8 @@ class FieldCtx:
         self.zero = (0,) * e
         self.one = (1,) + (0,) * (e - 1)
         self.elements = [self.element(i) for i in range(q)]
+        self._products = {}        # memo of polynomial products, e > 1
+        self._inverses = {}
         squares = {self.mul(x, x) for x in self.elements if x != self.zero}
         if len(squares) != (q - 1) // 2:
             raise RuntimeError("square count sanity check failed")
@@ -105,17 +107,23 @@ class FieldCtx:
         return value
 
     def add(self, a, b):
+        if self.e == 1:
+            return ((a[0] + b[0]) % self.p,)
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
 
     def sub(self, a, b):
+        if self.e == 1:
+            return ((a[0] - b[0]) % self.p,)
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
         if self.e == 1:
             return (a[0] * b[0] % self.p,)
+        if (a, b) in self._products:
+            return self._products[a, b]
         conv = [0] * (2 * self.e - 1)
         for i, x in enumerate(a):
             if x:
@@ -123,7 +131,8 @@ class FieldCtx:
                     conv[i + j] += x * y
         rem = _poly_rem(conv, list(self.modulus), self.p)
         rem = rem[:self.e] + [0] * (self.e - len(rem))
-        return tuple(rem)
+        self._products[a, b] = tuple(rem)
+        return self._products[a, b]
 
     def scalar_mul(self, c: int, a):
         return tuple(c * x % self.p for x in a)
@@ -141,7 +150,9 @@ class FieldCtx:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        if a not in self._inverses:
+            self._inverses[a] = self.pow(a, self.q - 2)
+        return self._inverses[a]
 
     def is_square(self, a) -> bool:
         """Whether a is a nonzero square."""
@@ -166,7 +177,9 @@ class QuadResidues:
         C = field.squares
         Cbar = frozenset(x for x in field.elements
                          if x != field.zero and x not in C)
-        assert len(C) == len(Cbar) == (field.q - 1) // 2
+        if not len(C) == len(Cbar) == (field.q - 1) // 2:
+            raise RuntimeError(f"F_{field.q}: {len(C)} squares and {len(Cbar)} "
+                               "non-squares, not (q-1)/2 each")
         return cls(C, Cbar)
 
 

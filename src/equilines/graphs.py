@@ -156,7 +156,8 @@ def is_switching_equivalent(g1: SeidelGraph, g2: SeidelGraph):
     if apply_switching(g1, nu1) != apply_switching(g2, nu2):
         return None
     nu = tuple(a * b for a, b in zip(nu1, nu2))
-    assert apply_switching(g1, nu) == g2
+    if apply_switching(g1, nu) != g2:
+        raise RuntimeError("switching witness does not map g1 to g2")
     return nu
 
 

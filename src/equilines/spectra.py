@@ -1,13 +1,13 @@
 """Exact spectra of the +1/-1 matrix of a graph, the parametrized
 determinant det(S(1, c)), and synthesis of equiangular line systems.
 
-The exact layer works in Z[x]: determinants come from fraction-free Bareiss
-elimination (every division is exact), eigenvalues are read off by pulling
-out integer roots and copies of x^2 - 2x - (q-1) with q = n - 1 (the family
-of values 1 +/- sqrt(q)), and whatever remains is isolated by Sturm
-sequences into certified rational intervals.  No floating point enters until
-a line system is actually synthesized, and then the exact Gram matrix is
-kept alongside the vectors so checks compare against exact entries.
+The exact layer works in Z[x]: det(xI - E) comes from Hessenberg reduction
+modulo word-size primes joined by CRT, det(S(1, c)) from it by substitution,
+eigenvalues are read off by pulling out integer roots (Gershgorin: in
+[2 - n, n]) and copies of x^2 - 2x - (q-1), q = n - 1 (the values
+1 +/- sqrt(q)), and whatever remains is isolated by Sturm sequences into
+certified rational intervals.  No floating point enters until a line system
+is synthesized, and then the exact Gram matrix is kept alongside the vectors.
 
 A value lam in the spectrum with matrix S(1, c), c = 1/(1 - lam), positive
 semidefinite (lam extreme) yields n unit vectors in dimension n - m(lam)
@@ -17,6 +17,7 @@ with pairwise inner products E[i][j] * c.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,24 +35,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return poly_trim(out)
-
-
 def poly_neg(a):
     return [-c for c in a]
 
@@ -65,10 +48,6 @@ def poly_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return poly_trim(out)
-
-
-def poly_scale(a, c):
-    return poly_trim([c * x for x in a])
 
 
 def poly_pow(a, k):
@@ -146,70 +125,99 @@ def poly_derivative(a):
     return poly_trim([i * c for i, c in enumerate(a)][1:])
 
 
-def bareiss_det(matrix):
-    """Determinant of a square matrix with entries in Z[x].
-
-    Fraction-free elimination: every intermediate division by the previous
-    pivot is exact, so all arithmetic stays in arbitrary-precision integers.
-    """
-    n = len(matrix)
-    m = [[poly_trim(list(e)) for e in row] for row in matrix]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                t = poly_sub(poly_mul(row_i[j], piv), poly_mul(head, m[k][j]))
-                row_i[j] = poly_divexact(t, prev)
-            row_i[k] = []
-        prev = piv
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else poly_neg(det)
+_CACHE_SIZE = 32     # an analysis revisits a graph; a long run sees many
 
 
-@lru_cache(maxsize=None)
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin, deterministic for odd 7 < m < 3215031751 with these bases."""
+    s = ((m - 1) & (1 - m)).bit_length() - 1          # m - 1 = d * 2^s, d odd
+    return all(pow(a, (m - 1) >> s, m) == 1
+               or any(pow(a, (m - 1) >> r, m) == m - 1 for r in range(1, s + 1))
+               for a in (2, 3, 5, 7))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _crt_primes(n: int) -> tuple:
+    """The largest primes below 2^31 whose product exceeds twice the largest
+    possible |coefficient| of det(xI - E) for an n x n +1/-1 matrix E.  The
+    coefficient of x^(n-m) is +/- a sum of C(n, m) principal m x m minors,
+    each at most m^(m/2) in absolute value (Hadamard)."""
+    bound = max(math.comb(n, m) * (math.isqrt(m ** m) + 1) for m in range(n + 1))
+    primes, product, c = [], 1, 2 ** 31 + 1
+    while product <= 2 * bound:
+        c -= 2
+        if _is_prime(c):
+            primes.append(c)
+            product *= c
+    return tuple(primes)
+
+
+def _char_poly_mod(e, p):
+    """det(xI - E) mod p, constant term first: similarity to upper Hessenberg
+    form, then the recurrence on its leading principal minors (Cohen, A Course
+    in Computational Algebraic Number Theory, algorithm 2.2.9)."""
+    n = len(e)
+    h = [[x % p for x in row] for row in e]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        top = h[m]
+        inv = pow(top[m - 1], -1, p)
+        us = [h[i][m - 1] * inv % p for i in range(m + 1, n)]
+        # rows i -= u_i * row m, then column m += sum u_i * column i (i > m):
+        # these steps commute, so together they are one similarity transform
+        for i, u in enumerate(us, m + 1):
+            if u:
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], top)]
+        for row in h:
+            row[m] = (row[m] + sum(map(operator.mul, us, row[m + 1:]))) % p
+    polys = [[1]]
+    for m in range(n):
+        nxt, t = [0] + polys[m], 1
+        for i in range(m, -1, -1):
+            coef = t * h[i][m] % p
+            nxt[:i + 1] = [a - coef * c for a, c in zip(nxt, polys[i])]
+            t = t * h[i][i - 1] % p if i else 0
+            if not t:
+                break
+        polys.append([c % p for c in nxt])
+    return polys[n]
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def char_poly(g: SeidelGraph) -> tuple:
-    """det(xI - E) as an exact coefficient tuple, constant term first."""
-    n = g.n
-    mat = [[[-g.seidel_entry(i, j)] if i != j else [-1, 1]
-            for j in range(n)] for i in range(n)]
-    return tuple(bareiss_det(mat))
+    """det(xI - E) as an exact coefficient tuple, constant term first: the
+    residues modulo _crt_primes joined by CRT, read in the symmetric range."""
+    e = g.seidel_matrix()
+    value, modulus = [0] * (g.n + 1), 1
+    for p in _crt_primes(g.n):
+        k = pow(modulus, -1, p)
+        value = [v + modulus * ((r - v) * k % p)
+                 for v, r in zip(value, _char_poly_mod(e, p))]
+        modulus *= p
+    return tuple(v - modulus if 2 * v > modulus else v for v in value)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def chi_polynomial(g: SeidelGraph) -> tuple:
-    """det(S(1, c)) as an exact coefficient tuple in c, constant term first."""
-    n = g.n
-    mat = [[[1] if i == j else [0, g.seidel_entry(i, j)]
-            for j in range(n)] for i in range(n)]
-    return tuple(bareiss_det(mat))
+    """det(S(1, c)) as an exact coefficient tuple in c, constant term first.
 
-
-def chi_from_char(g: SeidelGraph) -> tuple:
-    """The substitution identity: det(S(1,c)) = (-1)^n sum a_k (c-1)^k c^(n-k)
-    where det(xI - E) = sum a_k x^k.  Used as a cross-check of the two
-    determinant computations."""
-    p = char_poly(g)
-    n = g.n
-    total = []
-    for k, a in enumerate(p):
-        if a:
-            term = poly_mul(poly_pow([-1, 1], k), poly_pow([0, 1], n - k))
-            total = poly_add(total, poly_scale(term, a))
-    if n % 2:
-        total = poly_neg(total)
-    return tuple(total)
+    S(1, c) = (1 - c) I + c E, so with f(x) = det(xI - E) = sum a_k x^k,
+    det(S(1, c)) = (-1)^n c^n f(1 - 1/c) = (-1)^n sum a_k (c-1)^k c^(n-k):
+    after the Taylor shift f(1 + y) = sum b_j y^j, c^i has (-1)^i b_(n-i).
+    """
+    b = list(char_poly(g))
+    n = len(b) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            b[j] += b[j + 1]
+    return tuple(poly_trim([-b[n - i] if i % 2 else b[n - i]
+                            for i in range(n + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +332,24 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
     return Eigenvalue(1, rational=Fraction(s))
 
 
-def _divisors(m: int):
-    m = abs(m)
-    out = set()
-    for d in range(1, int(math.isqrt(m)) + 1):
-        if m % d == 0:
-            out.update((d, m // d))
-    return sorted(out)
+# Sturm sequences for whatever the exact factor steps leave.  The chain is
+# built over Fraction, then each member is scaled by a positive integer, which
+# keeps every sign, so signs at rational points need integer arithmetic only.
+
+def _clear_denominators(p):
+    scale = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (scale // c.denominator) for c in p]
 
 
-# Sturm sequences over Fraction for whatever the exact factor steps leave.
+def _sign_at(p, x) -> int:
+    """Sign of the integer polynomial p at the rational x = a/b, read from
+    b^deg * p(a/b) by Horner's rule on the homogenized form."""
+    a, b = x.numerator, x.denominator
+    v, bp = p[-1], b
+    for c in reversed(p[:-1]):
+        v, bp = v * a + c * bp, bp * b
+    return (v > 0) - (v < 0)
+
 
 def _sturm_chain(p):
     chain = [[Fraction(c) for c in p], [Fraction(c) for c in poly_derivative(p)]]
@@ -342,15 +358,11 @@ def _sturm_chain(p):
         if not r:
             break
         chain.append([-c for c in r])
-    return chain
+    return [_clear_denominators(c) for c in chain]
 
 
 def _sign_variations(chain, x):
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -375,7 +387,7 @@ def _isolate_real_roots(p, precision=Fraction(1, 10 ** 13)):
         if k == 1:
             while hi - lo > precision:
                 mid = (lo + hi) / 2
-                if poly_eval(p, mid) == 0:
+                if _sign_at(p, mid) == 0:
                     # nudge the endpoint; roots of the residual are irrational
                     mid += precision / 7
                 if count(lo, mid) == 1:
@@ -385,27 +397,27 @@ def _isolate_real_roots(p, precision=Fraction(1, 10 ** 13)):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0:
+        if _sign_at(p, mid) == 0:
             mid += precision / 7
         stack.append((lo, mid))
         stack.append((mid, hi))
     return sorted(out)
 
 
-def _rational_rank(rows) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
+def _integer_rank(rows) -> int:
+    """Rank over the rationals of an integer matrix by fraction-free (Bareiss)
+    elimination: each entry stays a minor of the input, so every division by
+    the previous pivot is exact.  Pivot rows and eliminated columns drop out."""
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] * inv
-            if factor:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        top, pv = rows[k], rows[k][0]
+        rows = [[(pv * a - row[0] * b) // prev for a, b in zip(row[1:], top[1:])]
+                for row in rows[:k] + rows[k + 1:]]
+        prev = pv
         rank += 1
     return rank
 
@@ -429,7 +441,7 @@ def _squarefree_parts(p):
     return parts
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def spectrum(g: SeidelGraph) -> SeidelSpectrum:
     """Exact spectrum of the +1/-1 matrix of g.
 
@@ -442,18 +454,8 @@ def spectrum(g: SeidelGraph) -> SeidelSpectrum:
     p = list(char_poly(g))
     found = []
 
-    # integer roots: divisors of the constant term of the x^k-stripped part
-    zero_mult = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        zero_mult += 1
-    if zero_mult:
-        found.append(Eigenvalue(zero_mult, rational=Fraction(0)))
-    candidates = []
-    if len(p) > 1:
-        for d in _divisors(p[0]):
-            candidates.extend((d, -d))
-    for root in sorted(candidates, key=lambda r: (abs(r), -r)):
+    # integer roots: Gershgorin puts every eigenvalue in [2 - n, n]
+    for root in sorted(range(2 - n, n + 1), key=lambda r: (abs(r), -r)):
         mult = 0
         while len(p) > 1 and poly_eval(p, root) == 0:
             p = poly_divexact(p, [-root, 1])
@@ -478,22 +480,20 @@ def spectrum(g: SeidelGraph) -> SeidelSpectrum:
 
     # certified intervals for anything left
     for factor, mult in (_squarefree_parts(p) if len(p) > 1 else []):
-        scale = 1
-        for c in factor:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        int_factor = [int(c * scale) for c in factor]
-        for lo, hi in _isolate_real_roots(int_factor):
+        for lo, hi in _isolate_real_roots(_clear_denominators(factor)):
             found.append(Eigenvalue(mult, interval=(lo, hi)))
 
     found.sort(key=lambda ev: -ev.approx)
-    # cross-check rational multiplicities against the exact rank of E - lam*I
+    # cross-check rational multiplicities against the exact rank of
+    # b*E - a*I, lam = a/b (b = 1 here: char_poly is monic)
     for ev in found:
         if ev.rational is None:
             continue
         lam = ev.rational
-        shifted = [[Fraction(g.seidel_entry(i, j)) - (lam if i == j else 0)
+        shifted = [[lam.denominator * g.seidel_entry(i, j)
+                    - (lam.numerator if i == j else 0)
                     for j in range(n)] for i in range(n)]
-        if n - _rational_rank(shifted) != ev.multiplicity:
+        if n - _integer_rank(shifted) != ev.multiplicity:
             raise RuntimeError(f"rank check failed for eigenvalue {lam}")
     spec = SeidelSpectrum(n, tuple(found))
     _check_moments(spec)

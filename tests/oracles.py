@@ -1,0 +1,85 @@
+"""Slow, independent references for the exact spectral core.
+
+`bareiss_det` expands determinants over Z[x] by fraction-free elimination;
+`char_poly_bareiss` and `chi_bareiss` apply it to the defining matrices of
+det(xI - E) and det(S(1, c)), which the library derives instead from a
+multi-modular Hessenberg reduction.  `rational_rank` is plain Gaussian
+elimination over Fraction.
+"""
+
+from fractions import Fraction
+
+from equilines.spectra import poly_divexact, poly_mul, poly_neg, poly_trim
+
+
+def poly_sub(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return poly_trim(out)
+
+
+def bareiss_det(matrix):
+    """Determinant of a square matrix with entries in Z[x].
+
+    Fraction-free elimination: every intermediate division by the previous
+    pivot is exact, so all arithmetic stays in arbitrary-precision integers.
+    """
+    n = len(matrix)
+    m = [[poly_trim(list(e)) for e in row] for row in matrix]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                t = poly_sub(poly_mul(row_i[j], piv), poly_mul(head, m[k][j]))
+                row_i[j] = poly_divexact(t, prev)
+            row_i[k] = []
+        prev = piv
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else poly_neg(det)
+
+
+def char_poly_bareiss(g) -> tuple:
+    """det(xI - E), constant term first."""
+    n = g.n
+    return tuple(bareiss_det([[[-g.seidel_entry(i, j)] if i != j else [-1, 1]
+                               for j in range(n)] for i in range(n)]))
+
+
+def chi_bareiss(g) -> tuple:
+    """det(S(1, c)): ones on the diagonal, c * E[i][j] off it."""
+    n = g.n
+    return tuple(bareiss_det([[[1] if i == j else [0, g.seidel_entry(i, j)]
+                               for j in range(n)] for i in range(n)]))
+
+
+def rational_rank(rows) -> int:
+    """Rank over the rationals by exact Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inv
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

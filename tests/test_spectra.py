@@ -1,20 +1,27 @@
 """Exact polynomials, spectra and line systems."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilines import (SeidelGraph, apply_switching, char_poly, chi_from_char,
-                       chi_polynomial, embed_lines, parse_eigenvalue,
-                       pentagon, spectrum, two_eigenvalue_check)
-from equilines.spectra import (bareiss_det, poly_divexact, poly_mul, poly_neg,
+from equilines import (SeidelGraph, apply_switching, char_poly,
+                       chi_polynomial, embed_lines, paley_projective,
+                       parse_eigenvalue, spectrum, two_eigenvalue_check)
+from equilines.spectra import (_crt_primes, _integer_rank, _sign_at,
+                               poly_divexact, poly_eval, poly_mul, poly_neg,
                                poly_pow)
 
 from conftest import random_graph
+from oracles import bareiss_det, char_poly_bareiss, chi_bareiss, rational_rank
 
 
 def expand(*factors):
@@ -93,12 +100,65 @@ def test_chi_substitution_identity(n, bits):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = SeidelGraph(n, [p for k, p in enumerate(pairs)
                         if k < len(pairs) and (bits >> k) & 1])
-    assert chi_polynomial(g) == chi_from_char(g)
+    assert char_poly(g) == char_poly_bareiss(g)
+    assert chi_polynomial(g) == chi_bareiss(g)
 
 
-def test_chi_substitution_identity_large(extensions):
-    for g in extensions.values():
-        assert chi_polynomial(g) == chi_from_char(g)
+def test_chi_substitution_identity_large(extensions, paley_extensions):
+    for g in list(extensions.values()) + list(paley_extensions.values()):
+        assert char_poly(g) == char_poly_bareiss(g)
+        assert chi_polynomial(g) == chi_bareiss(g)
+
+
+def test_char_poly_and_chi_match_bareiss_random(rng):
+    for n in range(1, 23):
+        g = random_graph(rng, n)
+        coeffs = char_poly(g)
+        assert coeffs == char_poly_bareiss(g)
+        assert chi_polynomial(g) == chi_bareiss(g)
+        # the CRT modulus covers the largest coefficient seen
+        assert math.prod(_crt_primes(n)) > 2 * max(abs(c) for c in coeffs)
+
+
+def test_crt_primes_are_31_bit_primes():
+    used = set()
+    for n in range(1, 130):
+        primes = _crt_primes(n)
+        assert len(set(primes)) == len(primes)
+        used.update(primes)
+    for p in used:
+        assert 2 ** 30 < p < 2 ** 31
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_integer_rank_matches_fraction_rank(rng):
+    for _ in range(60):
+        rows, cols, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(r)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+             if r else [0] * cols for row in left]
+        assert _integer_rank(m) == rational_rank(m)
+
+
+def test_sign_at_matches_fraction_evaluation(rng):
+    for _ in range(300):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice((-2, 1, 3))]
+        x = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+        value = poly_eval([Fraction(c) for c in p], x)
+        assert _sign_at(p, x) == (value > 0) - (value < 0)
+    assert _sign_at([-2, 0, 1], Fraction(3, 2)) == 1 and _sign_at([-1, 1], 1) == 0
+
+
+def test_import_generates_no_primes():
+    code = ("import equilines\n"
+            "from equilines import spectra\n"
+            "assert spectra._crt_primes.cache_info().currsize == 0\n"
+            "assert all(f.cache_info().maxsize for f in (spectra.char_poly,"
+            " spectra.chi_polynomial, spectra.spectrum))\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ,
+                            PYTHONPATH=str(Path(__file__).parents[1] / "src")))
 
 
 def test_spectrum_exact_values(extensions, paley_extensions):
@@ -119,6 +179,34 @@ def test_spectrum_exact_values(extensions, paley_extensions):
     k2 = SeidelGraph(2, [(0, 1)])
     assert [(ev.label(), ev.multiplicity) for ev in spectrum(k2).eigenvalues] == \
         [("2", 1), ("0", 1)]
+
+
+class _Deadline(Exception):
+    pass
+
+
+@pytest.mark.parametrize("q", [29, 37, 49, 61])
+def test_paley_projective_spectrum_finishes(q):
+    g = paley_projective(q)
+    spectrum.cache_clear()
+    char_poly.cache_clear()
+
+    def expire(signum, frame):
+        raise _Deadline(f"spectrum(paley_projective({q})) took over 5 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        sp = spectrum(g)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    root, half = math.isqrt(q), (q + 1) // 2
+    if root * root == q:
+        want = [(str(1 + root), half), (str(1 - root), half)]
+    else:
+        want = [(f"1+sqrt({q})", half), (f"1-sqrt({q})", half)]
+    assert [(ev.label(), ev.multiplicity) for ev in sp.eigenvalues] == want
 
 
 def test_spectrum_interval_fallback():
