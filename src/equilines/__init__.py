@@ -22,10 +22,6 @@ from .groups import (
     PermGroup,
     automorphism_group,
     find_isomorphism,
-    group_order,
-    is_doubly_transitive,
-    is_transitive,
-    orbits,
     two_graph_group,
 )
 from .extensibility import (

@@ -11,6 +11,15 @@ The group of a switching class is found without enumerating sign vectors:
 a permutation s belongs to it iff it maps the localization at vertex 0 onto
 the localization at s(0), which turns membership into a constrained graph
 isomorphism problem between precomputed localized graphs.
+
+Both group searches build their chain level by level, one prefix search per
+target the known generators do not reach yet.  Before level i searches, one
+round of refinement from the fixed points 0..i-1 narrows each vertex's
+candidate images (same degree, same adjacency to every fixed point); targets
+outside vertex i's candidates are not searched, and once every candidate set
+is a single vertex the pointwise stabilizer is trivial and the search stops.
+Double transitivity is read off the chain: the first transversal covers all
+n points and the second the remaining n - 1.
 """
 
 from __future__ import annotations
@@ -29,10 +38,16 @@ class DegreeCapError(ValueError):
 
 def _search_cap() -> int:
     raw = os.environ.get("EQUILINES_SEARCH_CAP", "")
-    try:
-        return int(raw) if raw else DEFAULT_SEARCH_CAP
-    except ValueError:
+    if not raw:
         return DEFAULT_SEARCH_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"EQUILINES_SEARCH_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_cap(n: int):
@@ -165,23 +180,13 @@ class PermGroup:
         return len(self.orbits()) == 1
 
     def is_doubly_transitive(self) -> bool:
-        """One orbit on ordered pairs of distinct points."""
+        """One orbit on ordered pairs of distinct points, read off the chain:
+        the first base point's orbit is every point and its stabilizer's
+        orbit of the second base point is every other point."""
         n = self.degree
-        if n < 2:
-            return True
-        if not self.is_transitive():
-            return False
-        start = (0, 1)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            x, y = queue.pop()
-            for g in self.generators:
-                pair = (g[x], g[y])
-                if pair not in orbit:
-                    orbit.add(pair)
-                    queue.append(pair)
-        return len(orbit) == n * (n - 1)
+        if n <= 2:
+            return n < 2 or self.is_transitive()
+        return [len(trans) for _, trans in self._chain()[:2]] == [n, n - 1]
 
     def transitivity(self) -> int:
         if self.is_doubly_transitive():
@@ -199,22 +204,6 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
-
-
-def group_order(group: PermGroup) -> int:
-    return group.order
-
-
-def orbits(group: PermGroup, points=None) -> list:
-    return group.orbits(points)
-
-
-def is_transitive(group: PermGroup) -> bool:
-    return group.is_transitive()
-
-
-def is_doubly_transitive(group: PermGroup) -> bool:
-    return group.is_doubly_transitive()
 
 
 def _schreier_sims(n: int, generators):
@@ -336,18 +325,33 @@ class _IsoSearch:
         return extend(0, 0)
 
 
-def _group_by_search(n, find_with_prefix):
+def _group_by_search(n, find_with_prefix, search):
     """Build a stabilizer chain with base 0..n-1 for the group of all
     permutations accepted by the searcher.
 
     For each level i the orbit of i under the pointwise stabilizer of
     0..i-1 is grown by direct element searches; points already reachable
-    through known generators are not searched again.
+    through known generators are not searched again.  `search` is the
+    searcher that find_with_prefix uses for prefixes fixing 0; its masks,
+    narrowed by the fixed points 0..i-1 exactly as `find` narrows them,
+    bound where each vertex can go under that stabilizer.  Only targets in
+    vertex i's mask are searched, and once every mask is a single vertex
+    the stabilizer is trivial and so is every remaining level.
     """
     ident = identity_perm(n)
+    adj_a, adj_b = search.adj_a, search.adj_b
+    masks = list(search.cand)
     gens = []
     levels = []
     for i in range(n):
+        if i:
+            u = i - 1
+            keep_adj, keep_non = adj_b[u] & ~(1 << u), ~adj_b[u] & ~(1 << u)
+            for v in range(i, n):
+                masks[v] &= keep_adj if (adj_a[v] >> u) & 1 else keep_non
+            if all(masks[v] == 1 << v for v in range(i, n)):
+                levels.extend((k, {k: ident}) for k in range(i, n))
+                break
         fixed = [g for g in gens if all(g[j] == j for j in range(i))]
         trans = {i: ident}
 
@@ -363,8 +367,9 @@ def _group_by_search(n, find_with_prefix):
 
         close([i])
         prefix_base = tuple(range(i))
+        targets = masks[i] if i else ~0
         for p in range(i + 1, n):
-            if p in trans:
+            if p in trans or not (targets >> p) & 1:
                 continue
             sigma = find_with_prefix(prefix_base + (p,))
             if sigma is None:
@@ -380,7 +385,7 @@ def automorphism_group(g: SeidelGraph) -> PermGroup:
     """Group of all relabelings sigma with conjugate(g, sigma) == g."""
     _check_cap(g.n)
     search = _IsoSearch(g.adj, g.adj)
-    gens, levels = _group_by_search(g.n, search.find)
+    gens, levels = _group_by_search(g.n, search.find, search)
     group = PermGroup(g.n, gens, _levels=levels)
     for sigma in group.generators:
         if conjugate(g, sigma) != g:
@@ -401,7 +406,7 @@ def two_graph_group(g: SeidelGraph) -> PermGroup:
     _check_cap(g.n)
     locs = [localize(g, j) for j in range(g.n)]
     adjs = [h.adj for h in locs]
-    searchers = {}
+    searchers = {0: _IsoSearch(adjs[0], adjs[0])}
 
     def find(prefix):
         q0 = prefix[0]
@@ -410,7 +415,7 @@ def two_graph_group(g: SeidelGraph) -> PermGroup:
             s = searchers[q0] = _IsoSearch(adjs[0], adjs[q0])
         return s.find(prefix)
 
-    gens, levels = _group_by_search(g.n, find)
+    gens, levels = _group_by_search(g.n, find, searchers[0])
     group = PermGroup(g.n, gens, _levels=levels)
     for sigma in group.generators:
         if conjugate(locs[0], sigma) != locs[sigma[0]]:

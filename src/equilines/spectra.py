@@ -598,9 +598,7 @@ def embed_lines(g: SeidelGraph, value, tol=1e-9) -> LineSystem:
         c_exact = Fraction(1) / (1 - ev.rational)
         c = float(c_exact)
         c_str = str(c_exact)
-
-        def entry(i, j):
-            return str(g.seidel_entry(i, j) * c_exact) if i != j else "1"
+        edge_str = str(-c_exact)
     else:
         a, sgn, d = ev.quad
         if a != 1:
@@ -608,14 +606,14 @@ def embed_lines(g: SeidelGraph, value, tol=1e-9) -> LineSystem:
         # c = 1/(1 - (1 + sgn*sqrt(d))) = -sgn/sqrt(d)
         c = -sgn / math.sqrt(d)
         c_str = f"{'-' if sgn > 0 else ''}1/sqrt({d})"
-
-        def entry(i, j):
-            if i == j:
-                return "1"
-            e = g.seidel_entry(i, j) * (-sgn)
-            return f"{'-' if e < 0 else ''}1/sqrt({d})"
-    gram = np.array([[1.0 if i == j else g.seidel_entry(i, j) * c
-                      for j in range(n)] for i in range(n)])
+        edge_str = f"{'-' if sgn < 0 else ''}1/sqrt({d})"
+    # off-diagonal entries are c E[i][j]: c on non-edges, -c on edges
+    strs, floats = (c_str, edge_str), (c, -c)
+    bits = [[(row >> j) & 1 for j in range(n)] for row in g.adj]
+    gram_exact = tuple(tuple("1" if i == j else strs[b] for j, b in enumerate(r))
+                       for i, r in enumerate(bits))
+    gram = np.array([[1.0 if i == j else floats[b] for j, b in enumerate(r)]
+                     for i, r in enumerate(bits)])
 
     vals, vecs = np.linalg.eigh(gram)
     rank = n - ev.multiplicity
@@ -637,7 +635,7 @@ def embed_lines(g: SeidelGraph, value, tol=1e-9) -> LineSystem:
         cos_value=c,
         sign=1 if c > 0 else -1,
         eigenvalue=ev,
-        vectors=tuple(tuple(float(x) for x in row) for row in basis),
-        gram_exact=tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)),
+        vectors=tuple(map(tuple, basis.tolist())),
+        gram_exact=gram_exact,
         residual=residual,
     )

@@ -1,14 +1,22 @@
-"""Slow, independent references for the exact spectral core.
+"""Slow, independent references for the exact spectral core and the group
+searches.
 
 `bareiss_det` expands determinants over Z[x] by fraction-free elimination;
 `char_poly_bareiss` and `chi_bareiss` apply it to the defining matrices of
 det(xI - E) and det(S(1, c)), which the library derives instead from a
 multi-modular Hessenberg reduction.  `rational_rank` is plain Gaussian
 elimination over Fraction.
+
+`group_by_search_unpruned` is the stabilizer-chain search that issues one
+element search per unreached target at every level, and
+`pair_orbit_doubly_transitive` grows the orbit of an ordered pair by
+breadth-first search; the library prunes the first by fixed-point masks and
+reads the second off the stabilizer chain.
 """
 
 from fractions import Fraction
 
+from equilines.groups import identity_perm, perm_mul
 from equilines.spectra import poly_divexact, poly_mul, poly_neg, poly_trim
 
 
@@ -83,3 +91,55 @@ def rational_rank(rows) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def group_by_search_unpruned(n, find_with_prefix):
+    """Stabilizer chain with base 0..n-1 of the permutations accepted by the
+    searcher: at level i, every target p > i not yet reached through known
+    generators fixing 0..i-1 gets its own search with prefix (0..i-1, p)."""
+    ident = identity_perm(n)
+    gens = []
+    levels = []
+    for i in range(n):
+        fixed = [g for g in gens if all(g[j] == j for j in range(i))]
+        trans = {i: ident}
+
+        def close(starts):
+            queue = list(starts)
+            while queue:
+                x = queue.pop(0)
+                for g in fixed:
+                    y = g[x]
+                    if y not in trans:
+                        trans[y] = perm_mul(trans[x], g)
+                        queue.append(y)
+
+        close([i])
+        for p in range(i + 1, n):
+            if p in trans:
+                continue
+            sigma = find_with_prefix(tuple(range(i)) + (p,))
+            if sigma is None:
+                continue
+            gens.append(sigma)
+            fixed.append(sigma)
+            close(sorted(trans))
+        levels.append((i, trans))
+    return gens, levels
+
+
+def pair_orbit_doubly_transitive(n, generators) -> bool:
+    """One orbit on ordered pairs of distinct points, by breadth-first search
+    from (0, 1)."""
+    if n < 2:
+        return True
+    orbit = {(0, 1)}
+    queue = [(0, 1)]
+    while queue:
+        x, y = queue.pop()
+        for g in generators:
+            pair = (g[x], g[y])
+            if pair not in orbit:
+                orbit.add(pair)
+                queue.append(pair)
+    return len(orbit) == n * (n - 1)

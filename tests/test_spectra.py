@@ -317,3 +317,18 @@ def test_gram_exact_entries_match_matrix(extensions):
         for j in range(g.n):
             want = Fraction(1) if i == j else Fraction(g.seidel_entry(i, j), 3)
             assert Fraction(ls.gram_exact[i][j]) == want
+
+
+def test_gram_exact_entries_both_signs(extensions):
+    # c * E[i][j] as exact strings, for c > 0 and c < 0, rational and surd
+    for g, value, c, text in (
+            (extensions[16], "6", Fraction(-1, 5), None),
+            (extensions[6], "1-sqrt(5)", 1, "1/sqrt(5)"),
+            (extensions[6], "1+sqrt(5)", -1, "1/sqrt(5)")):
+        ls = embed_lines(g, value)
+        for i in range(g.n):
+            for j in range(g.n):
+                e = 1 if i == j else g.seidel_entry(i, j) * c
+                want = "1" if i == j else (str(e) if text is None else
+                                           f"{'-' if e < 0 else ''}{text}")
+                assert ls.gram_exact[i][j] == want
