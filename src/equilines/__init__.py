@@ -31,7 +31,7 @@ from .extensibility import (
     extensible_params,
     srg_params,
 )
-from .fields import FieldCtx, QuadResidues, field_ctx, quad_residue_counts
+from .fields import FieldCtx, field_ctx, quad_residue_counts
 from .constructions import (
     T1Structure,
     T1StructureError,

@@ -5,9 +5,12 @@ string (or, with --g6, the bare graph6 line for piping); graph-consuming
 subcommands read graph6 or the JSON form from --input or standard input.
 Exact numbers are printed as strings so nothing passes through floats.
 
-reproduce-table reruns the whole battery of pinned results and exits 0 only
-if every row passes; --jobs N runs rows in parallel processes with a fixed
-output order.
+reproduce-table reruns the battery of pinned results (`equilines.battery`)
+and exits 0 only if every row passes; --jobs N runs rows in parallel
+processes with a fixed output order.
+
+Exit status: 0 on success, 1 on bad input or a failing check, 2 on a usage
+error, 3 when an internal invariant fails (a RuntimeError).
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from . import constructions, extensibility, groups, spectra
 from .graphs import (SeidelGraph, from_graph6, graph_from_json, graph_to_json,
                      is_switching_equivalent, localize, to_graph6)
 
+GRAPH_WRITERS = ("construct", "localize", "extend")
+GRAPH_READERS = ("localize", "extend", "switch-equiv", "extensible", "group",
+                 "spectrum", "chi", "lines")
+
 
 def _read_graph_text(text: str) -> SeidelGraph:
     s = text.strip()
@@ -29,11 +36,13 @@ def _read_graph_text(text: str) -> SeidelGraph:
         raise ValueError("empty graph input")
     if s.startswith("{"):
         return graph_from_json(json.loads(s))
-    return from_graph6(s.splitlines()[0])
+    if len(s.splitlines()) > 1:
+        raise ValueError("expected one graph6 line, got several")
+    return from_graph6(s)
 
 
 def _load_graph(args) -> SeidelGraph:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input) as fh:
             return _read_graph_text(fh.read())
     return _read_graph_text(sys.stdin.read())
@@ -152,316 +161,19 @@ def _cmd_paley_verify(args):
     return 0 if all(v for k, v in report.items() if k != "q") else 1
 
 
-# ---------------------------------------------------------------------------
-# reproduce-table rows (module level so they survive pickling for --jobs)
-
-def _graphs_for_rows():
-    return {
-        4: extensibility.extend(constructions.triangle()),
-        6: extensibility.extend(constructions.pentagon()),
-        10: extensibility.extend(constructions.t1_graph(2)),
-        16: extensibility.extend(constructions.t1_graph(3)),
-        28: extensibility.extend(constructions.t1_graph(5)),
-    }
-
-
-def _expand(*factors):
-    out = [1]
-    for f, k in factors:
-        out = spectra.poly_mul(out, spectra.poly_pow(f, k))
-    return out
-
-
-def _row_chi(n):
-    g = _graphs_for_rows()[n]
-    expected = {
-        4: spectra.poly_neg(_expand(([-1, 3], 1), ([1, 1], 3))),
-        6: spectra.poly_neg(_expand(([-1, 0, 5], 3))),
-        16: _expand(([1, 5], 6), ([-1, 3], 10)),
-        28: spectra.poly_neg(_expand(([1, 9], 7), ([-1, 3], 21))),
-    }[n]
-    got = list(spectra.chi_polynomial(g))
-    return got == expected, f"chi coefficients {got[:4]}..."
-
-
-def _row_chi_paley(q):
-    g = extensibility.extend(constructions.paley_graph(q))
-    got = list(spectra.chi_polynomial(g))
-    base = _expand(([-1, 0, q], (q + 1) // 2))
-    ok = got == base or got == spectra.poly_neg(base)
-    return ok, f"(qc^2-1)^{(q + 1) // 2} up to sign"
-
-
-def _row_group(n, want_order):
-    g = _graphs_for_rows()[n]
-    grp = groups.two_graph_group(g)
-    ok = grp.order == want_order and grp.is_doubly_transitive()
-    return ok, f"order {grp.order}, transitivity {grp.transitivity()}"
-
-
-def _row_paley_group(q):
-    g = constructions.paley_projective(q)
-    grp = groups.two_graph_group(g)
-    psl2 = (q + 1) * q * (q - 1) // 2
-    contained = all(grp.contains(p)
-                    for p in constructions.sl2_point_permutations(q))
-    ok = grp.order % psl2 == 0 and contained and grp.is_doubly_transitive()
-    return ok, f"order {grp.order} divisible by {psl2}, PSL2 contained: {contained}"
-
-
-def _row_lines(n, value, want_dim, want_cos):
-    import math
-    if n in (4, 6, 10, 16, 28):
-        g = _graphs_for_rows()[n]
-    else:
-        g = extensibility.extend(constructions.paley_graph(n - 1))
-    ls = spectra.embed_lines(g, value)
-    inner_ok = all(
-        abs(abs(sum(a * b for a, b in zip(ls.vectors[i], ls.vectors[j]))) - want_cos)
-        <= 1e-9
-        for i in range(n) for j in range(i + 1, n))
-    unit_ok = all(abs(math.fsum(x * x for x in v) - 1) <= 1e-9 for v in ls.vectors)
-    ok = ls.dim == want_dim and inner_ok and unit_ok and ls.residual <= 1e-9
-    return ok, f"dim {ls.dim}, cos {ls.cos_exact}, residual {ls.residual:.2e}"
-
-
-def _row_ext_params(name, want):
-    g = constructions.construct(name)
-    p = extensibility.extensible_params(g)
-    got = p.as_tuple() if p else None
-    return got == want, f"{name}: {got}"
-
-
-def _row_residue_counts(q):
-    field = constructions.field_ctx(q)
-    s = (q - 1) // 4
-    for a in field.elements:
-        if a == field.zero:
-            continue
-        got = constructions.quad_residue_counts(field, a)
-        want = (s - 1, s) if field.is_square(a) else (s, s)
-        if got != want:
-            return False, f"q={q} shift {a}: {got} != {want}"
-    return True, f"q={q} all {q - 1} shifts match"
-
-
-def _row_projective_identities(q):
-    rep = constructions.paley_verify(q)
-    rep.pop("orbit_report", None)
-    ok = all(v for k, v in rep.items() if k != "q")
-    return ok, str(rep)
-
-
-def _row_complement_duality():
-    built = [constructions.pentagon(), constructions.t1_graph(2),
-             constructions.t1_graph(3), constructions.t1_graph(5)]
-    built += [constructions.paley_graph(q) for q in (5, 9, 13, 17, 29)]
-    from .graphs import complement
-    for g in built:
-        p = extensibility.extensible_params(g)
-        if p.sbar == 0:
-            continue   # the complement would be edgeless
-        pc = extensibility.extensible_params(complement(g))
-        if pc is None or pc != extensibility.complement_params(p):
-            return False, f"duality failed at {p.as_tuple()}"
-    return True, "complement parameters (tbar, sbar, s) verified on all built graphs"
-
-
-def _row_moments():
-    gs = list(_graphs_for_rows().values())
-    gs += [constructions.paley_graph(q) for q in (5, 9, 13)]
-    import random
-    rng = random.Random(20260810)
-    for _ in range(30):
-        n = rng.randint(2, 8)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.5]
-        gs.append(SeidelGraph(n, edges))
-    for g in gs:
-        spectra.spectrum(g)    # moment identities re-checked internally
-    return True, f"sum(m*lam) = n and sum(m*lam^2) = n^2 on {len(gs)} graphs"
-
-
-def _row_switch_oracle():
-    import random
-    from itertools import product as iproduct
-    from .graphs import apply_switching, triple_sign
-    rng = random.Random(20260810)
-    for trial in range(200):
-        n = rng.randint(3, 6)
-        def rnd():
-            return SeidelGraph(n, [(i, j) for i in range(n)
-                                   for j in range(i + 1, n) if rng.random() < 0.5])
-        g1 = rnd()
-        if trial % 2:
-            nu = tuple(rng.choice((-1, 1)) for _ in range(n))
-            g2 = apply_switching(g1, nu)
-        else:
-            g2 = rnd()
-        witness = is_switching_equivalent(g1, g2)
-        brute = any(apply_switching(g1, nu) == g2
-                    for nu in iproduct((-1, 1), repeat=n))
-        if (witness is not None) != brute:
-            return False, f"disagreement on trial {trial}"
-        if witness is not None and apply_switching(g1, witness) != g2:
-            return False, f"bad witness on trial {trial}"
-        if (witness is not None) != (triple_sign(g1) == triple_sign(g2)):
-            return False, f"triple-sign mismatch on trial {trial}"
-    return True, "200 random pairs agree with the exhaustive 2^n search"
-
-
-def _row_liaison_parity():
-    import random
-    rng = random.Random(20260810)
-    from .graphs import neighborhood
-    for trial in range(50):
-        n = rng.randint(3, 8)
-        g = SeidelGraph(n, [(i, j) for i in range(n)
-                            for j in range(i + 1, n) if rng.random() < 0.5])
-        x, y = rng.sample(range(n), 2)
-        gx, gy = localize(g, x), localize(g, y)
-        set1 = neighborhood(gy, x, 1)
-        if set1 != neighborhood(gx, y, 1):
-            return False, f"shared neighborhood failed on trial {trial}"
-        for k in range(n):
-            for l in range(k + 1, n):
-                same = gx.adjacent(k, l) == gy.adjacent(k, l)
-                if same != (len({k, l} & set1) % 2 == 0):
-                    return False, f"parity law failed on trial {trial}"
-    return True, "liaison parity law holds on 50 random graphs"
-
-
-def _row_uniqueness_pentagon():
-    from itertools import combinations, product as iproduct
-    found = []
-    pairs = list(combinations(range(5), 2))
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if (bits >> k) & 1]
-        g = SeidelGraph(5, edges)
-        p = extensibility.extensible_params(g)
-        if p and p.t == 0:
-            found.append(g)
-    c5 = constructions.pentagon()
-    ok = bool(found) and all(
-        groups.find_isomorphism(g, c5) is not None for g in found)
-    # other sizes <= 9 are ruled out arithmetically: t=0 forces |Y| = 6s-1
-    return ok, f"{len(found)} labeled graphs, all pentagons"
-
-
-def _row_uniqueness_t1_2():
-    from itertools import combinations
-    # normalization forced by the conditions: 0 ~ {1,2,3,4} matched as
-    # {1,2}, {3,4}; the far set is {5,6,7,8}
-    base_edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
-    squares = [[(5, 6), (6, 7), (7, 8), (5, 8)],
-               [(5, 6), (6, 8), (7, 8), (5, 7)],
-               [(5, 7), (6, 7), (6, 8), (5, 8)]]
-    t12 = constructions.t1_graph(2)
-    count = 0
-    for picks in _cross_choices():
-        for sq in squares:
-            g = SeidelGraph(9, base_edges + picks + sq)
-            p = extensibility.extensible_params(g)
-            if p and p.as_tuple() == (1, 2, 2):
-                count += 1
-                if groups.find_isomorphism(g, t12) is None:
-                    return False, "found a non-isomorphic (1,2,2) graph"
-    return count > 0, f"{count} normalized candidates, all isomorphic"
-
-
-def _cross_choices():
-    from itertools import combinations, product as iproduct
-    options = list(combinations((5, 6, 7, 8), 2))
-    for quad in iproduct(options, repeat=4):
-        degs = {v: 0 for v in (5, 6, 7, 8)}
-        for pair in quad:
-            for v in pair:
-                degs[v] += 1
-        if set(degs.values()) != {2}:
-            continue
-        yield [(a, v) for a, pair in zip((1, 2, 3, 4), quad) for v in pair]
-
-
-ROWS = [
-    ("chi n=4 equals -(3c-1)(c+1)^3", _row_chi, (4,)),
-    ("chi n=6 equals -(5c^2-1)^3", _row_chi, (6,)),
-    ("chi n=16 equals (5c+1)^6 (3c-1)^10", _row_chi, (16,)),
-    ("chi n=28 equals -(9c+1)^7 (3c-1)^21", _row_chi, (28,)),
-    ("chi paley q=5 equals +/-(5c^2-1)^3", _row_chi_paley, (5,)),
-    ("chi paley q=9 equals +/-(9c^2-1)^5", _row_chi_paley, (9,)),
-    ("chi paley q=13 equals +/-(13c^2-1)^7", _row_chi_paley, (13,)),
-    ("two-graph group n=4 order 24, doubly transitive", _row_group, (4, 24)),
-    ("two-graph group n=6 order 60, doubly transitive", _row_group, (6, 60)),
-    ("two-graph group n=10 order 720, doubly transitive", _row_group, (10, 720)),
-    ("two-graph group n=16 order 11520, doubly transitive", _row_group, (16, 11520)),
-    ("two-graph group n=28 order 1451520, doubly transitive", _row_group, (28, 1451520)),
-    ("paley-projective q=5 group", _row_paley_group, (5,)),
-    ("paley-projective q=9 group", _row_paley_group, (9,)),
-    ("paley-projective q=13 group", _row_paley_group, (13,)),
-    ("lines n=6: 6 unit vectors in R^3 at 1/sqrt(5)", _row_lines,
-     (6, "1-sqrt(5)", 3, 0.4472135954999579)),
-    ("lines n=16: 16 in R^6 at 1/3", _row_lines, (16, "-2", 6, 1 / 3)),
-    ("lines n=28: 28 in R^7 at 1/3", _row_lines, (28, "-2", 7, 1 / 3)),
-    ("lines n=28: 28 in R^21 at 1/9", _row_lines, (28, "10", 21, 1 / 9)),
-    ("lines paley q=13: 14 in R^7 at 1/sqrt(13)", _row_lines,
-     (14, "1-sqrt(13)", 7, 0.2773500981126146)),
-    ("params pentagon (0,1,1)", _row_ext_params, ("pentagon", (0, 1, 1))),
-    ("params triangle (1,1,0)", _row_ext_params, ("triangle", (1, 1, 0))),
-    ("params t1:2 (1,2,2)", _row_ext_params, ("t1:2", (1, 2, 2))),
-    ("params t1:3 (1,3,4)", _row_ext_params, ("t1:3", (1, 3, 4))),
-    ("params t1:5 (1,5,8)", _row_ext_params, ("t1:5", (1, 5, 8))),
-    ("params paley:5 (0,1,1)", _row_ext_params, ("paley:5", (0, 1, 1))),
-    ("params paley:9 (1,2,2)", _row_ext_params, ("paley:9", (1, 2, 2))),
-    ("params paley:13 (2,3,3)", _row_ext_params, ("paley:13", (2, 3, 3))),
-    ("params paley:17 (3,4,4)", _row_ext_params, ("paley:17", (3, 4, 4))),
-    ("params paley:29 (6,7,7)", _row_ext_params, ("paley:29", (6, 7, 7))),
-    ("shifted-square counts q=5", _row_residue_counts, (5,)),
-    ("shifted-square counts q=9", _row_residue_counts, (9,)),
-    ("shifted-square counts q=13", _row_residue_counts, (13,)),
-    ("shifted-square counts q=17", _row_residue_counts, (17,)),
-    ("shifted-square counts q=25", _row_residue_counts, (25,)),
-    ("shifted-square counts q=29", _row_residue_counts, (29,)),
-    ("projective-line identities q=5", _row_projective_identities, (5,)),
-    ("projective-line identities q=9", _row_projective_identities, (9,)),
-    ("projective-line identities q=13", _row_projective_identities, (13,)),
-    ("complement parameter duality", _row_complement_duality, ()),
-    ("spectrum moment identities", _row_moments, ()),
-    ("switching equivalence vs exhaustive search", _row_switch_oracle, ()),
-    ("localization liaison parity law", _row_liaison_parity, ()),
-]
-
-UNIQUENESS_ROWS = [
-    ("uniqueness: pentagon is the only t=0 graph (|Y| <= 9)",
-     _row_uniqueness_pentagon, ()),
-    ("uniqueness: one (1,2,2) graph up to isomorphism",
-     _row_uniqueness_t1_2, ()),
-]
-
-
-def _run_row(row):
-    name, fn, fnargs = row
-    try:
-        ok, detail = fn(*fnargs)
-    except Exception as exc:   # a crashing row is a failing row
-        ok, detail = False, f"error: {exc}"
-    return name, ok, detail
-
-
 def _cmd_reproduce_table(args):
-    rows = list(ROWS)
-    if args.uniqueness:
-        rows += UNIQUENESS_ROWS
-    if args.jobs and args.jobs > 1:
+    from . import battery   # here, so that no other subcommand loads the table
+    rows = battery.ROWS + (battery.UNIQUENESS_ROWS if args.uniqueness else [])
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_row, rows))
+            results = list(pool.map(battery.run_row, rows))
     else:
-        results = [_run_row(row) for row in rows]
-    failures = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
-        failures += 0 if ok else 1
-    print(f"{len(results) - failures}/{len(results)} rows passed")
-    return 0 if failures == 0 else 1
+        results = [battery.run_row(row) for row in rows]
+    for result in results:
+        print(battery.report_line(*result))
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} rows passed")
+    return 0 if passed == len(results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,11 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--input", help="read the graph from this file")
-        p.add_argument("--g6", action="store_true",
-                       help="print bare graph6 instead of a JSON report")
-        p.add_argument("--json", action="store_true",
-                       help="JSON report output (the default)")
         return p
 
     p = add("construct", _cmd_construct, help="build a named graph")
@@ -501,12 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("paley-verify", _cmd_paley_verify,
             help="residue and projective-line identities for one q")
     p.add_argument("q", type=int)
-    p = sub.add_parser("reproduce-table",
-                       help="rerun every pinned result and print pass/fail rows")
-    p.set_defaults(fn=_cmd_reproduce_table)
+    p = add("reproduce-table", _cmd_reproduce_table,
+            help="rerun every pinned result and print pass/fail rows")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--uniqueness", action="store_true",
                    help="also run the small exhaustive uniqueness searches")
+    for name in GRAPH_READERS:
+        sub.choices[name].add_argument("--input", help="read the graph from this file")
+    for name in GRAPH_WRITERS:
+        sub.choices[name].add_argument("--g6", action="store_true",
+                                       help="print bare graph6 instead of a JSON report")
     return parser
 
 
@@ -518,6 +229,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:     # an internal invariant failed
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

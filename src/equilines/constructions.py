@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .extensibility import extensible_params
-from .fields import FieldCtx, QuadResidues, field_ctx, quad_residue_counts
-from .graphs import SeidelGraph, complement, localize
+from .fields import FieldCtx, field_ctx, quad_residue_counts
+from .graphs import SeidelGraph, complement, conjugate, localize
 
 T1_SUPPORTED = (1, 2, 3, 5)
 
@@ -370,26 +370,8 @@ def sl2_point_permutations(q: int) -> list:
             for phi in _sl2_generators(field)]
 
 
-def _graph_key(g: SeidelGraph):
-    return g.adj
-
-
-def _relabel_key(adj, perm):
-    n = len(adj)
-    out = [0] * n
-    for i in range(n):
-        row = adj[i]
-        new = 0
-        while row:
-            b = row & -row
-            new |= 1 << perm[b.bit_length() - 1]
-            row ^= b
-        out[perm[i]] = new
-    return tuple(out)
-
-
 def all_basis_graphs(q: int):
-    """Every graph arising from some basis, as a set of adjacency keys.
+    """Every graph arising from some basis, as a set.
 
     Scaling a basis by a common factor does not change the graph, so one
     basis per projective normalization is enough.
@@ -398,14 +380,14 @@ def all_basis_graphs(q: int):
     pts, _ = _proj_index(field)
     nonzero = [(x, y) for x in field.elements for y in field.elements
                if (x, y) != (field.zero, field.zero)]
-    keys = set()
+    out = set()
     for u in pts:            # u normalized: first nonzero coordinate is 1
         for v in nonzero:
             det = field.sub(field.mul(u[0], v[1]), field.mul(u[1], v[0]))
             if det == field.zero:
                 continue
-            keys.add(_graph_key(paley_projective(q, (u, v))))
-    return keys
+            out.add(paley_projective(q, (u, v)))
+    return out
 
 
 def sl2_orbit_check(q: int) -> dict:
@@ -419,7 +401,7 @@ def sl2_orbit_check(q: int) -> dict:
         raise ValueError("orbit enumeration limited to q <= 13")
     field = field_ctx(q)
     pts, index = _proj_index(field)
-    keys = all_basis_graphs(q)
+    basis_graphs = all_basis_graphs(q)
     perms = [_gl2_point_perm(field, phi, pts, index)
              for phi in _sl2_generators(field)]
 
@@ -427,32 +409,32 @@ def sl2_orbit_check(q: int) -> dict:
         orbit = {start}
         queue = [start]
         while queue:
-            k = queue.pop()
+            g = queue.pop()
             for perm in perms:
-                nk = _relabel_key(k, perm)
-                if nk not in orbit:
-                    orbit.add(nk)
-                    queue.append(nk)
+                image = conjugate(g, perm)
+                if image not in orbit:
+                    orbit.add(image)
+                    queue.append(image)
         return orbit
 
     base = paley_projective(q)
-    base_key = _graph_key(base)
-    orbit0 = orbit_of(base_key)
-    rest = keys - orbit0
+    orbit0 = orbit_of(base)
+    rest = basis_graphs - orbit0
     orbits = [orbit0]
     if rest:
-        orbits.append(orbit_of(min(rest)))
+        orbits.append(orbit_of(min(rest, key=lambda g: g.adj)))
     union = set().union(*orbits)
-    localization_keys = {_graph_key(localize(base, x)) for x in range(q + 1)}
+    localizations = {localize(base, x) for x in range(q + 1)}
     swapped = paley_projective(q, (standard_basis(field)[1], standard_basis(field)[0]))
     return {
         "q": q,
-        "graph_count": len(keys),
+        "graph_count": len(basis_graphs),
         "orbit_count": len(orbits),
         "orbit_sizes": sorted(len(o) for o in orbits),
-        "orbits_cover_all": union == keys and (len(orbits) == 1 or not orbits[0] & orbits[1]),
-        "localization_set_is_orbit": localization_keys == orbit0,
-        "swap_in_same_orbit": _graph_key(swapped) in orbit0,
+        "orbits_cover_all": (union == basis_graphs
+                             and (len(orbits) == 1 or not orbits[0] & orbits[1])),
+        "localization_set_is_orbit": localizations == orbit0,
+        "swap_in_same_orbit": swapped in orbit0,
     }
 
 
@@ -465,7 +447,6 @@ def paley_verify(q: int) -> dict:
     maps fixing <u>; and for q <= 13 the two-orbit census.
     """
     field = field_ctx(q)
-    res = QuadResidues.of(field)
     s = (q - 1) // 4   # q = 4t+5 gives s = t+1 = (q-1)/4
     if 4 * s + 1 != q:
         raise ValueError("q must be 1 mod 4")
@@ -475,7 +456,7 @@ def paley_verify(q: int) -> dict:
         if a == field.zero:
             continue
         got = quad_residue_counts(field, a)
-        want = (s - 1, s) if a in res.C else (s, s)
+        want = (s - 1, s) if field.is_square(a) else (s, s)
         if got != want:
             counts_ok = False
 

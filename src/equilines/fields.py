@@ -9,7 +9,6 @@ the residue graphs built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -100,19 +99,10 @@ class FieldCtx:
             index //= self.p
         return tuple(digits)
 
-    def index(self, x) -> int:
-        value = 0
-        for c in reversed(x):
-            value = value * self.p + c
-        return value
-
     def add(self, a, b):
         if self.e == 1:
             return ((a[0] + b[0]) % self.p,)
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def sub(self, a, b):
         if self.e == 1:
@@ -133,9 +123,6 @@ class FieldCtx:
         rem = rem[:self.e] + [0] * (self.e - len(rem))
         self._products[a, b] = tuple(rem)
         return self._products[a, b]
-
-    def scalar_mul(self, c: int, a):
-        return tuple(c * x % self.p for x in a)
 
     def pow(self, a, k: int):
         result = self.one
@@ -165,32 +152,15 @@ def field_ctx(q: int) -> FieldCtx:
     return FieldCtx(q)
 
 
-@dataclass(frozen=True)
-class QuadResidues:
-    """Nonzero squares C and non-squares Cbar of a field."""
-
-    C: frozenset
-    Cbar: frozenset
-
-    @classmethod
-    def of(cls, field: FieldCtx) -> "QuadResidues":
-        C = field.squares
-        Cbar = frozenset(x for x in field.elements
-                         if x != field.zero and x not in C)
-        if not len(C) == len(Cbar) == (field.q - 1) // 2:
-            raise RuntimeError(f"F_{field.q}: {len(C)} squares and {len(Cbar)} "
-                               "non-squares, not (q-1)/2 each")
-        return cls(C, Cbar)
-
-
 def quad_residue_counts(field: FieldCtx, a) -> tuple:
-    """(|(a+C) cap C|, |(a+C) cap Cbar|) for a nonzero shift a.
+    """(|(a+C) cap C|, |(a+C) cap Cbar|) for a nonzero shift a, where C is
+    the set of nonzero squares and Cbar the nonzero non-squares.
 
     Counted by direct enumeration.  For q = 4t+5 and s = t+1 the result is
     (s-1, s) when a is a square and (s, s) otherwise.
     """
     if a == field.zero:
         raise ValueError("shift must be nonzero")
-    res = QuadResidues.of(field)
-    shifted = {field.add(a, c) for c in res.C}
-    return (len(shifted & res.C), len(shifted & res.Cbar))
+    shifted = {field.add(a, c) for c in field.squares} - {field.zero}
+    in_squares = len(shifted & field.squares)
+    return (in_squares, len(shifted) - in_squares)

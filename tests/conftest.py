@@ -2,24 +2,13 @@ import random
 
 import pytest
 
-from equilines import (SeidelGraph, extend, paley_graph, pentagon, t1_graph,
-                       triangle, two_graph_group)
-
-
-def random_graph(rng, n):
-    return SeidelGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                           if rng.random() < 0.5])
+from equilines import two_graph_group
+from equilines.battery import EXTENSIONS, extension, random_graph  # noqa: F401
 
 
 @pytest.fixture(scope="session")
 def extensions():
-    return {
-        4: extend(triangle()),
-        6: extend(pentagon()),
-        10: extend(t1_graph(2)),
-        16: extend(t1_graph(3)),
-        28: extend(t1_graph(5)),
-    }
+    return {n: extension(base) for n, base in EXTENSIONS.items()}
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +18,7 @@ def two_graph_groups(extensions):
 
 @pytest.fixture(scope="session")
 def paley_extensions():
-    return {q: extend(paley_graph(q)) for q in (5, 9, 13)}
+    return {q: extension(f"paley:{q}") for q in (5, 9, 13)}
 
 
 @pytest.fixture

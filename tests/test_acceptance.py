@@ -1,297 +1,127 @@
-"""Acceptance suite: every pinned result at its stated tolerance.
+"""Acceptance suite: every pinned result of `equilines.battery`, by criterion.
 
-Each criterion prints one PASS/FAIL line (run with -s to see them inline;
-pytest shows captured output for failures either way).
+Each criterion runs the battery rows of its row functions, the rows that
+`equilines reproduce-table --uniqueness` prints, and some of them again at
+test-only seeds.  The expected values live in the battery, except for
+criterion 3, which counts orbits on ordered pairs without the stabilizer
+chain, and the plain test of criterion 6b.  Run with -s to see one PASS/FAIL
+line per row.
 """
 
-import math
 import random
-from itertools import combinations, product
 
-import numpy as np
-
-from equilines import (SeidelGraph, apply_switching, chi_polynomial,
-                       complement, complement_params, embed_lines,
-                       extensible_params, field_ctx, find_isomorphism,
-                       is_switching_equivalent, localize, neighborhood,
-                       paley_graph, paley_projective, paley_verify, pentagon,
-                       quad_residue_counts, spectrum, t1_graph, triangle,
+from equilines import (apply_switching, battery, paley_projective,
                        triple_sign, two_graph_group)
-from equilines.constructions import sl2_point_permutations
-from equilines.spectra import poly_mul, poly_neg, poly_pow
 
 from conftest import random_graph
 
-TOL = 1e-9
+
+def check(*fns, extra=()):
+    """Run every battery row whose function is in `fns`, then the `extra`
+    rows; fail naming each failing row."""
+    rows = [row for row in battery.ROWS + battery.UNIQUENESS_ROWS if row[1] in fns]
+    assert rows, f"no battery rows for {fns}"
+    results = [battery.run_row(row) for row in rows + list(extra)]
+    for result in results:
+        print(battery.report_line(*result))
+    failed = [battery.report_line(*result) for result in results if not result[1]]
+    assert not failed, "\n".join(failed)
 
 
-def report(criterion, ok, detail):
-    print(f"{'PASS' if ok else 'FAIL'}  criterion {criterion}: {detail}")
-    assert ok, f"criterion {criterion} failed: {detail}"
+def at_seed(fn, seed):
+    return (f"{fn.__name__} at seed {seed}", fn, (seed,))
 
 
-def expand(*factors):
-    out = [1]
-    for f, k in factors:
-        out = poly_mul(out, poly_pow(f, k))
-    return out
+def test_criterion_1_chi_polynomials():
+    check(battery.chi, battery.chi_paley)
 
 
-# -- criterion 1: chi polynomials, exact coefficients -----------------------
-
-def test_criterion_1_chi_polynomials(extensions, paley_extensions):
-    checks = {
-        "n=4": list(chi_polynomial(extensions[4])) == poly_neg(
-            expand(([-1, 3], 1), ([1, 1], 3))),
-        "n=6": list(chi_polynomial(extensions[6])) == poly_neg(
-            expand(([-1, 0, 5], 3))),
-        "n=16": list(chi_polynomial(extensions[16])) == expand(
-            ([1, 5], 6), ([-1, 3], 10)),
-        "n=28": list(chi_polynomial(extensions[28])) == poly_neg(
-            expand(([1, 9], 7), ([-1, 3], 21))),
-    }
-    for q, ext in paley_extensions.items():
-        base = expand(([-1, 0, q], (q + 1) // 2))
-        checks[f"paley q={q}"] = list(chi_polynomial(ext)) in (base, poly_neg(base))
-    report(1, all(checks.values()),
-           "chi coefficients exact: " + ", ".join(
-               f"{k}={'ok' if v else 'BAD'}" for k, v in checks.items()))
+def test_criterion_2_group_orders():
+    # the extension groups (order and double transitivity) and the Paley
+    # two-graph groups (PSL2 inside, order divisible by |PSL2|, doubly
+    # transitive)
+    check(battery.group_order, battery.paley_group)
 
 
-# -- criterion 2: two-graph group orders -------------------------------------
+def pair_orbit_count(grp):
+    """Orbits of the generators on ordered pairs of distinct points, by a
+    search that does not use the stabilizer chain."""
+    n = grp.degree
+    seen = set()
+    count = 0
+    for start in ((x, y) for x in range(n) for y in range(n) if x != y):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            x, y = queue.pop()
+            for g in grp.generators:
+                image = (g[x], g[y])
+                if image not in seen:
+                    seen.add(image)
+                    queue.append(image)
+    return count
 
-def test_criterion_2_group_orders(two_graph_groups):
-    # the 6-point pentagon extension group is the alternating group on five
-    # letters in its doubly transitive degree-6 action, order 60
-    want = {4: 24, 6: 60, 10: 720, 16: 11520, 28: 1451520}
-    orders = {n: grp.order for n, grp in two_graph_groups.items()}
-    ok = orders == want
-    for q in (5, 9, 13):
-        grp = two_graph_group(paley_projective(q))
-        psl2 = (q + 1) * q * (q - 1) // 2
-        contained = all(grp.contains(p) for p in sl2_point_permutations(q))
-        ok = ok and grp.order % psl2 == 0 and contained
-        orders[f"paley-proj {q}"] = grp.order
-    report(2, ok, f"orders {orders}, PSL2 containment and divisibility hold")
-
-
-# -- criterion 3: double transitivity ----------------------------------------
 
 def test_criterion_3_double_transitivity(two_graph_groups):
-    levels = {n: grp.transitivity() for n, grp in two_graph_groups.items()}
+    groups = {n: grp for n, grp in two_graph_groups.items()}
     for q in (5, 9, 13):
-        levels[f"paley-proj {q}"] = two_graph_group(paley_projective(q)).transitivity()
-    report(3, all(v == 2 for v in levels.values()),
-           f"orbit count on ordered pairs is 1 everywhere: {levels}")
+        groups[f"paley-proj {q}"] = two_graph_group(paley_projective(q))
+    levels = {k: grp.transitivity() for k, grp in groups.items()}
+    orbits = {k: pair_orbit_count(grp) for k, grp in groups.items()}
+    print(f"criterion 3: transitivity {levels}, pair orbits {orbits}")
+    assert all(v == 2 for v in levels.values()), levels
+    assert all(v == 1 for v in orbits.values()), orbits
 
 
-# -- criterion 4: line systems ------------------------------------------------
+def test_criterion_4_line_systems():
+    check(battery.lines)
 
-def check_lines(g, value, want_dim, want_cos):
-    ls = embed_lines(g, value)
-    vecs = [np.array(v) for v in ls.vectors]
-    if ls.dim != want_dim or ls.residual > TOL:
-        return False
-    for v in vecs:
-        if abs(float(np.dot(v, v)) - 1.0) > TOL:
-            return False
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if abs(abs(float(np.dot(vecs[i], vecs[j]))) - want_cos) > TOL:
-                return False
-    return True
-
-
-def test_criterion_4_line_systems(extensions, paley_extensions):
-    cases = {
-        "6 in R^3 at 1/sqrt(5)": check_lines(
-            extensions[6], "1-sqrt(5)", 3, 1 / math.sqrt(5)),
-        "16 in R^6 at 1/3": check_lines(extensions[16], "-2", 6, 1 / 3),
-        "28 in R^7 at 1/3": check_lines(extensions[28], "-2", 7, 1 / 3),
-        "28 in R^21 at 1/9": check_lines(extensions[28], "10", 21, 1 / 9),
-        "14 in R^7 at 1/sqrt(13)": check_lines(
-            paley_extensions[13], "1-sqrt(13)", 7, 1 / math.sqrt(13)),
-    }
-    report(4, all(cases.values()),
-           "unit vectors, pairwise |inner| and Gram residual within 1e-9: "
-           + ", ".join(f"{k}={'ok' if v else 'BAD'}" for k, v in cases.items()))
-
-
-# -- criterion 5: extensibility parameters ------------------------------------
 
 def test_criterion_5_parameters():
-    got = {
-        "pentagon": extensible_params(pentagon()).as_tuple(),
-        "triangle": extensible_params(triangle()).as_tuple(),
-        "t1(2)": extensible_params(t1_graph(2)).as_tuple(),
-        "t1(3)": extensible_params(t1_graph(3)).as_tuple(),
-        "t1(5)": extensible_params(t1_graph(5)).as_tuple(),
-    }
-    want = {"pentagon": (0, 1, 1), "triangle": (1, 1, 0), "t1(2)": (1, 2, 2),
-            "t1(3)": (1, 3, 4), "t1(5)": (1, 5, 8)}
-    for q in (5, 9, 13, 17, 29):
-        t = (q - 5) // 4
-        got[f"paley {q}"] = extensible_params(paley_graph(q)).as_tuple()
-        want[f"paley {q}"] = (t, t + 1, t + 1)
-    report(5, got == want, f"parameter triples exact: {got}")
+    check(battery.ext_params)
 
-
-# -- criterion 6: oracle-based property suites --------------------------------
 
 def test_criterion_6a_switching_oracle():
-    rng = random.Random(20260810)
-    ok = True
-    for trial in range(200):
-        n = rng.randint(3, 6)
-        g1 = random_graph(rng, n)
-        if trial % 2:
-            nu = tuple(rng.choice((-1, 1)) for _ in range(n))
-            g2 = apply_switching(g1, nu)
-        else:
-            g2 = random_graph(rng, n)
-        witness = is_switching_equivalent(g1, g2)
-        brute = any(apply_switching(g1, v) == g2
-                    for v in product((-1, 1), repeat=n))
-        ok &= (witness is not None) == brute
-        if witness is not None:
-            ok &= apply_switching(g1, witness) == g2
-        ok &= (witness is not None) == (triple_sign(g1) == triple_sign(g2))
-    report("6a", ok, "200 random pairs: decision, witness and triple-sign "
-                     "prefilter all agree with the exhaustive 2^n search")
+    check(battery.switching_oracle)
 
 
 def test_criterion_6b_triple_sign_invariance():
     rng = random.Random(20260811)
-    ok = True
     for _ in range(10):
         n = rng.randint(3, 6)
         g = random_graph(rng, n)
         base = triple_sign(g)
         for _ in range(100):
             nu = tuple(rng.choice((-1, 1)) for _ in range(n))
-            ok &= triple_sign(apply_switching(g, nu)) == base
-    report("6b", ok, "triple signs unchanged under 100 random switchings "
-                     "on each of 10 graphs")
+            assert triple_sign(apply_switching(g, nu)) == base
 
 
 def test_criterion_6c_liaison_parity():
-    rng = random.Random(20260812)
-    ok = True
-    for _ in range(50):
-        n = rng.randint(3, 8)
-        g = random_graph(rng, n)
-        x, y = rng.sample(range(n), 2)
-        gx, gy = localize(g, x), localize(g, y)
-        shared = neighborhood(gy, x, 1)
-        ok &= shared == neighborhood(gx, y, 1)
-        for k, l in combinations(range(n), 2):
-            same = gx.adjacent(k, l) == gy.adjacent(k, l)
-            ok &= same == (len({k, l} & shared) % 2 == 0)
-    report("6c", ok, "localized liaison parity law on 50 random graphs, n <= 8")
+    check(battery.liaison_parity, extra=[at_seed(battery.liaison_parity, 20260812)])
 
 
 def test_criterion_6d_residue_counts():
-    ok = True
-    for q in (5, 9, 13, 17, 25, 29):
-        field = field_ctx(q)
-        s = (q - 1) // 4
-        for a in field.elements:
-            if a == field.zero:
-                continue
-            want = (s - 1, s) if field.is_square(a) else (s, s)
-            ok &= quad_residue_counts(field, a) == want
-    report("6d", ok, "shifted-square counts by exhaustive field enumeration "
-                     "for q in {5, 9, 13, 17, 25, 29}")
+    check(battery.residue_counts)
 
 
 def test_criterion_6e_projective_identities():
-    ok = True
-    details = {}
-    for q in (5, 9, 13):
-        rep = paley_verify(q)
-        rep.pop("orbit_report", None)
-        details[q] = rep
-        ok &= all(v for k, v in rep.items() if k != "q")
-    report("6e", ok, f"distance law, basis swap, determinant criterion and "
-                     f"two-orbit census for q in {{5, 9, 13}}: {ok}")
+    check(battery.projective_identities)
 
 
 def test_criterion_6f_complement_duality():
-    built = [pentagon(), t1_graph(2), t1_graph(3), t1_graph(5)]
-    built += [paley_graph(q) for q in (5, 9, 13, 17, 29)]
-    ok = True
-    skipped = 0
-    for g in built + [triangle()]:
-        p = extensible_params(g)
-        if p.sbar == 0:
-            skipped += 1   # complement of a complete graph is edgeless
-            continue
-        ok &= extensible_params(complement(g)) == complement_params(p)
-    report("6f", ok, f"complement duality on {len(built)} built graphs "
-                     f"({skipped} degenerate complete case skipped)")
+    check(battery.complement_duality)
 
 
-def test_criterion_6g_moment_identities(extensions, paley_extensions):
-    rng = random.Random(20260813)
-    graphs = list(extensions.values()) + list(paley_extensions.values())
-    graphs += [pentagon(), triangle(), t1_graph(2), t1_graph(3), t1_graph(5)]
-    graphs += [random_graph(rng, rng.randint(2, 8)) for _ in range(30)]
-    ok = True
-    for g in graphs:
-        sp = spectrum(g)   # identities enforced at construction
-        approx1 = sum(ev.multiplicity * ev.approx for ev in sp.eigenvalues)
-        approx2 = sum(ev.multiplicity * ev.approx ** 2 for ev in sp.eigenvalues)
-        ok &= abs(approx1 - g.n) < 1e-6 and abs(approx2 - g.n ** 2) < 1e-6 * g.n
-    report("6g", ok, f"sum(m*lam) = n and sum(m*lam^2) = n^2 on "
-                     f"{len(graphs)} graphs")
+def test_criterion_6g_moment_identities():
+    check(battery.moments, extra=[at_seed(battery.moments, 20260813)])
 
-
-# -- criterion 7: small exhaustive uniqueness ---------------------------------
 
 def test_criterion_7a_pentagon_unique():
-    # t = 0 forces sbar = 2s - 1 and |Y| = 6s - 1, so 5 is the only size
-    # up to 9; enumerate all 1024 graphs there
-    found = []
-    pairs = list(combinations(range(5), 2))
-    for bits in range(1 << len(pairs)):
-        g = SeidelGraph(5, [pairs[k] for k in range(len(pairs))
-                            if (bits >> k) & 1])
-        p = extensible_params(g)
-        if p and p.t == 0:
-            found.append(g)
-    ok = bool(found) and all(find_isomorphism(g, pentagon()) is not None
-                             for g in found)
-    report("7a", ok, f"all {len(found)} labeled t=0 graphs on 5 vertices "
-                     "are pentagons; larger sizes <= 9 ruled out by "
-                     "|Y| = 6s-1")
+    check(battery.pentagon_unique)
 
 
 def test_criterion_7b_t1_2_unique():
-    # normalization forced by the conditions: the base vertex is 0 with
-    # neighbors 1..4 matched as {1,2}, {3,4}; the far set is 5..8 with a
-    # 2-regular interior and two far neighbors per near vertex
-    base_edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
-    squares = [[(5, 6), (6, 7), (7, 8), (5, 8)],
-               [(5, 6), (6, 8), (7, 8), (5, 7)],
-               [(5, 7), (6, 7), (6, 8), (5, 8)]]
-    options = list(combinations((5, 6, 7, 8), 2))
-    t12 = t1_graph(2)
-    count = 0
-    ok = True
-    for quad in product(options, repeat=4):
-        degs = {v: 0 for v in (5, 6, 7, 8)}
-        for pair in quad:
-            for v in pair:
-                degs[v] += 1
-        if set(degs.values()) != {2}:
-            continue
-        cross = [(a, v) for a, pair in zip((1, 2, 3, 4), quad) for v in pair]
-        for sq in squares:
-            g = SeidelGraph(9, base_edges + cross + sq)
-            p = extensible_params(g)
-            if p and p.as_tuple() == (1, 2, 2):
-                count += 1
-                ok &= find_isomorphism(g, t12) is not None
-    report("7b", ok and count > 0,
-           f"{count} normalized (1,2,2) candidates found, every one "
-           "isomorphic to the 9-vertex construction")
+    check(battery.t1_2_unique)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from equilines import extend, localize, pentagon, to_graph6, triangle
+from equilines import (battery, constructions, extend, localize, pentagon,
+                       to_graph6, triangle)
 from equilines.cli import main
 
 CMD = [sys.executable, "-m", "equilines.cli"]
@@ -107,6 +108,34 @@ def test_error_exit_codes():
     assert run_cli(["construct", "t1:4"]).returncode == 1
 
 
+def test_multiline_graph6_input_rejected():
+    g6 = to_graph6(pentagon())
+    out = run_cli(["extensible"], stdin=f"{g6}\n\n{g6}\n")
+    assert out.returncode == 1
+    assert "one graph6 line" in out.stderr
+    assert run_cli(["extensible"], stdin=f"\n{g6}\n\n").returncode == 0
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(name):
+        raise RuntimeError("invariant violated")
+    monkeypatch.setattr(constructions, "construct", broken)
+    assert main(["construct", "pentagon"]) == 3
+    assert "internal error: invariant violated" in capsys.readouterr().err
+
+
+def test_flags_only_where_read():
+    for argv in (["construct", "pentagon", "--json"],
+                 ["extensible", "--g6"],
+                 ["chi", "--g6"],
+                 ["construct", "pentagon", "--input", "g.g6"],
+                 ["paley-verify", "5", "--input", "g.g6"],
+                 ["reproduce-table", "--g6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
 def test_main_entry_in_process(capsys):
     assert main(["construct", "pentagon", "--g6"]) == 0
     assert capsys.readouterr().out.strip() == to_graph6(pentagon())
@@ -117,5 +146,13 @@ def test_reproduce_table_smoke():
     out = run_cli(["reproduce-table"])
     assert out.returncode == 0
     lines = [ln for ln in out.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) >= 40
+    assert len(lines) == len(battery.ROWS)
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+@pytest.mark.slow
+def test_reproduce_table_jobs_keep_serial_output(capsys):
+    assert main(["reproduce-table"]) == 0
+    serial = capsys.readouterr().out
+    assert main(["reproduce-table", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial

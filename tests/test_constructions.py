@@ -2,7 +2,7 @@
 
 import pytest
 
-from equilines import (FieldCtx, QuadResidues, SeidelGraph, construct,
+from equilines import (FieldCtx, SeidelGraph, construct,
                        extensible_params, field_ctx, find_isomorphism,
                        localize, paley_graph, paley_projective, paley_verify,
                        pentagon, quad_residue_counts, sl2_orbit_check,
@@ -114,10 +114,13 @@ def test_field_axioms_spot_check(rng):
 def test_quad_residues():
     for q in (5, 9, 13, 17, 25, 29):
         f = field_ctx(q)
-        res = QuadResidues.of(f)
-        assert len(res.C) == len(res.Cbar) == (q - 1) // 2
-        assert all(f.mul(a, b) in res.C for a in res.C for b in res.C)
-        assert res.C | res.Cbar == set(f.elements) - {f.zero}
+        C = f.squares
+        # non-squares by Euler's criterion, independently of f.squares
+        Cbar = {a for a in f.elements
+                if a != f.zero and f.pow(a, (q - 1) // 2) != f.one}
+        assert len(C) == len(Cbar) == (q - 1) // 2
+        assert all(f.mul(a, b) in C for a in C for b in C)
+        assert C | Cbar == set(f.elements) - {f.zero}
 
 
 def test_quad_residue_counts_frozen_values():
@@ -208,12 +211,10 @@ def test_paley_verify_reports():
 
 
 def test_sl2_two_orbits():
-    for q in (5, 9):
-        rep = sl2_orbit_check(q)
-        assert rep["orbit_count"] == 2
-        assert rep["orbit_sizes"] == [q + 1, q + 1]
-        assert rep["orbits_cover_all"]
-        assert rep["localization_set_is_orbit"]
-        assert rep["swap_in_same_orbit"]
+    for q, count in ((5, 12), (9, 20), (13, 28)):
+        assert sl2_orbit_check(q) == {
+            "q": q, "graph_count": count, "orbit_count": 2,
+            "orbit_sizes": [q + 1, q + 1], "orbits_cover_all": True,
+            "localization_set_is_orbit": True, "swap_in_same_orbit": True}
     with pytest.raises(ValueError):
         sl2_orbit_check(17)

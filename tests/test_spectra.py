@@ -19,16 +19,10 @@ from equilines import (SeidelGraph, apply_switching, char_poly,
 from equilines.spectra import (_crt_primes, _integer_rank, _sign_at,
                                poly_divexact, poly_eval, poly_mul, poly_neg,
                                poly_pow)
+from equilines.battery import expand
 
 from conftest import random_graph
 from oracles import bareiss_det, char_poly_bareiss, chi_bareiss, rational_rank
-
-
-def expand(*factors):
-    out = [1]
-    for f, k in factors:
-        out = poly_mul(out, poly_pow(f, k))
-    return out
 
 
 def test_poly_helpers():
