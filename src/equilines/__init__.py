@@ -31,7 +31,12 @@ from .extensibility import (
     extensible_params,
     srg_params,
 )
-from .fields import FieldCtx, field_ctx, quad_residue_counts
+from .fields import (
+    FieldCtx,
+    field_ctx,
+    quad_residue_counts,
+    shifted_square_failure,
+)
 from .constructions import (
     T1Structure,
     T1StructureError,

@@ -98,15 +98,10 @@ def ext_params(name, want):
 
 def residue_counts(q):
     """|(a+C) cap C|, |(a+C) cap Cbar| is (s-1, s) for squares a, else (s, s)."""
-    field = fields.field_ctx(q)
-    s = (q - 1) // 4
-    for a in field.elements:
-        if a == field.zero:
-            continue
-        got = fields.quad_residue_counts(field, a)
-        want = (s - 1, s) if field.is_square(a) else (s, s)
-        if got != want:
-            return False, f"q={q} shift {a}: {got} != {want}"
+    failure = fields.shifted_square_failure(fields.field_ctx(q))
+    if failure:
+        a, got, want = failure
+        return False, f"q={q} shift {a}: {got} != {want}"
     return True, f"q={q} all {q - 1} shifts match"
 
 

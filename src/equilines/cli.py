@@ -176,6 +176,13 @@ def _cmd_reproduce_table(args):
     return 0 if passed == len(results) else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equilines",
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p = add("reproduce-table", _cmd_reproduce_table,
             help="rerun every pinned result and print pass/fail rows")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--uniqueness", action="store_true",
                    help="also run the small exhaustive uniqueness searches")
     for name in GRAPH_READERS:

@@ -13,7 +13,10 @@ pair i.
 Paley graphs live on field elements with adjacency "difference is a nonzero
 square"; the projective version adds the point at infinity of a chosen basis
 as an isolated vertex, and the basis action of GL2 / SL2 can be checked by
-exhaustive enumeration for small q.
+exhaustive enumeration for small q.  Field elements are the integers 0..q-1
+of `fields.FieldCtx`, so element y is vertex y of the Paley graph; a point
+<(x, y)> of the projective line is vertex y/x when x != 0 and vertex q when
+x = 0, and bases are pairs of coordinate pairs such as ((1, 0), (0, 1)).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .extensibility import extensible_params
-from .fields import FieldCtx, field_ctx, quad_residue_counts
+from .fields import FieldCtx, field_ctx, shifted_square_failure
 from .graphs import SeidelGraph, complement, conjugate, localize
 
 T1_SUPPORTED = (1, 2, 3, 5)
@@ -273,14 +276,15 @@ def verify_t1_structure(g: SeidelGraph, y: int) -> T1Structure:
 
 @lru_cache(maxsize=16)
 def _paley_pairs(q: int) -> tuple:
-    """Index pairs i < j of F_q elements whose difference is a nonzero
-    square; shared by the Paley graph and all its projective transports."""
+    """Pairs i < j of F_q elements whose difference is a nonzero square,
+    found as j = i + c over the squares c (-1 is a square, so each pair is
+    met from both ends); shared by the Paley graph and all its projective
+    transports."""
     field = field_ctx(q)
     if q % 4 != 1:
         raise ValueError("q must be congruent to 1 mod 4")
-    C = field.squares
-    return tuple((i, j) for i in range(q) for j in range(i + 1, q)
-                 if field.sub(field.elements[i], field.elements[j]) in C)
+    return tuple((i, j) for i in range(q) for c in field.squares
+                 if i < (j := field.add(i, c)))
 
 
 def paley_graph(q: int) -> SeidelGraph:
@@ -289,85 +293,46 @@ def paley_graph(q: int) -> SeidelGraph:
     return SeidelGraph(q, _paley_pairs(q))
 
 
-def _vec_add(field, a, b):
-    return (field.add(a[0], b[0]), field.add(a[1], b[1]))
-
-
-def _vec_scale(field, c, a):
-    return (field.mul(c, a[0]), field.mul(c, a[1]))
-
-
-def _proj_canon(field, w):
-    x, y = w
-    if x != field.zero:
-        return (field.one, field.mul(field.inv(x), y))
-    if y == field.zero:
+def _point(field: FieldCtx, x, y) -> int:
+    """Vertex of the projective point <(x, y)>: <(1, y)> is vertex y and
+    <(0, 1)> is vertex q."""
+    if x:
+        return field.mul(field.inv(x), y)
+    if not y:
         raise ValueError("zero vector spans no projective point")
-    return (field.zero, field.one)
+    return field.q
 
 
-@lru_cache(maxsize=16)
-def _proj_index(field):
-    """Canonical vertex order on the projective line: <(1, y)> by field index
-    of y, then <(0, 1)> last."""
-    pts = [(field.one, y) for y in field.elements] + [(field.zero, field.one)]
-    return pts, {pt: i for i, pt in enumerate(pts)}
-
-
-def standard_basis(field: FieldCtx):
-    return ((field.one, field.zero), (field.zero, field.one))
-
-
-def paley_projective(q: int, basis=None) -> SeidelGraph:
+def paley_projective(q: int, basis=((1, 0), (0, 1))) -> SeidelGraph:
     """Paley graph transported to the projective line through a basis (u, v):
     the point <u> is isolated and <a*u + v> ~ <b*u + v> iff a - b is a
-    nonzero square.  Vertices are indexed canonically so graphs built from
-    different bases are directly comparable."""
+    nonzero square.  Vertices are the canonical point labels of `_point`, so
+    graphs built from different bases are directly comparable."""
     field = field_ctx(q)
     if q % 4 != 1:
         raise ValueError("q must be congruent to 1 mod 4")
-    if basis is None:
-        basis = standard_basis(field)
-    u, v = basis
-    det = field.sub(field.mul(u[0], v[1]), field.mul(u[1], v[0]))
-    if det == field.zero:
+    (u0, u1), (v0, v1) = basis
+    if not field.sub(field.mul(u0, v1), field.mul(u1, v0)):
         raise ValueError("degenerate basis")
-    _, index = _proj_index(field)
-    theta = [index[_proj_canon(field, _vec_add(field, _vec_scale(field, lam, u), v))]
-             for lam in field.elements]
+    theta = [_point(field, field.add(field.mul(lam, u0), v0),
+                    field.add(field.mul(lam, u1), v1)) for lam in range(q)]
     return SeidelGraph(q + 1, [(theta[i], theta[j]) for i, j in _paley_pairs(q)])
 
 
-def _gl2_point_perm(field, phi, pts, index):
-    """Vertex permutation induced on the projective line by a 2x2 matrix phi
-    given as ((a, b), (c, d)) acting by (x, y) -> (a x + b y, c x + d y)."""
-    (a, b), (c, d) = phi
-    out = []
-    for x, y in pts:
-        w = (field.add(field.mul(a, x), field.mul(b, y)),
-             field.add(field.mul(c, x), field.mul(d, y)))
-        out.append(index[_proj_canon(field, w)])
-    return tuple(out)
-
-
-def _sl2_generators(field):
-    """Transvections generating SL2(F_q): unit shears by each F_p-basis
-    element of the field."""
-    gens = []
-    for k in range(field.e):
-        a = tuple(1 if i == k else 0 for i in range(field.e))
-        gens.append(((field.one, a), (field.zero, field.one)))
-        gens.append(((field.one, field.zero), (a, field.one)))
-    return gens
-
-
 def sl2_point_permutations(q: int) -> list:
-    """Vertex permutations of the projective line induced by a transvection
-    generating set of SL2(F_q), under the canonical point order."""
+    """Vertex permutations of the projective line induced by the unit shears
+    (x, y) -> (x + a y, y) and (x, y) -> (x, a x + y), over the F_p-basis
+    elements a = p^k of the field; these transvections generate SL2(F_q)."""
     field = field_ctx(q)
-    pts, index = _proj_index(field)
-    return [_gl2_point_perm(field, phi, pts, index)
-            for phi in _sl2_generators(field)]
+    points = [(1, y) for y in range(q)] + [(0, 1)]
+    perms = []
+    for k in range(field.e):
+        a = field.p ** k
+        perms.append(tuple(_point(field, field.add(x, field.mul(a, y)), y)
+                           for x, y in points))
+        perms.append(tuple(_point(field, x, field.add(field.mul(a, x), y))
+                           for x, y in points))
+    return perms
 
 
 def all_basis_graphs(q: int):
@@ -377,17 +342,10 @@ def all_basis_graphs(q: int):
     basis per projective normalization is enough.
     """
     field = field_ctx(q)
-    pts, _ = _proj_index(field)
-    nonzero = [(x, y) for x in field.elements for y in field.elements
-               if (x, y) != (field.zero, field.zero)]
-    out = set()
-    for u in pts:            # u normalized: first nonzero coordinate is 1
-        for v in nonzero:
-            det = field.sub(field.mul(u[0], v[1]), field.mul(u[1], v[0]))
-            if det == field.zero:
-                continue
-            out.add(paley_projective(q, (u, v)))
-    return out
+    normalized = [(1, y) for y in range(q)] + [(0, 1)]
+    nonzero = [(x, y) for x in range(q) for y in range(q) if x or y]
+    return {paley_projective(q, (u, v)) for u in normalized for v in nonzero
+            if field.sub(field.mul(u[0], v[1]), field.mul(u[1], v[0]))}
 
 
 def sl2_orbit_check(q: int) -> dict:
@@ -399,11 +357,8 @@ def sl2_orbit_check(q: int) -> dict:
     """
     if q > 13:
         raise ValueError("orbit enumeration limited to q <= 13")
-    field = field_ctx(q)
-    pts, index = _proj_index(field)
     basis_graphs = all_basis_graphs(q)
-    perms = [_gl2_point_perm(field, phi, pts, index)
-             for phi in _sl2_generators(field)]
+    perms = sl2_point_permutations(q)
 
     def orbit_of(start):
         orbit = {start}
@@ -425,7 +380,7 @@ def sl2_orbit_check(q: int) -> dict:
         orbits.append(orbit_of(min(rest, key=lambda g: g.adj)))
     union = set().union(*orbits)
     localizations = {localize(base, x) for x in range(q + 1)}
-    swapped = paley_projective(q, (standard_basis(field)[1], standard_basis(field)[0]))
+    swapped = paley_projective(q, ((0, 1), (1, 0)))
     return {
         "q": q,
         "graph_count": len(basis_graphs),
@@ -451,14 +406,7 @@ def paley_verify(q: int) -> dict:
     if 4 * s + 1 != q:
         raise ValueError("q must be 1 mod 4")
 
-    counts_ok = True
-    for a in field.elements:
-        if a == field.zero:
-            continue
-        got = quad_residue_counts(field, a)
-        want = (s - 1, s) if field.is_square(a) else (s, s)
-        if got != want:
-            counts_ok = False
+    counts_ok = shifted_square_failure(field) is None
 
     g = paley_projective(q)
     iso = next(v for v in range(g.n) if g.degree(v) == 0)
@@ -472,24 +420,16 @@ def paley_verify(q: int) -> dict:
             if common != want:
                 law_ok = False
 
-    u, v = standard_basis(field)
-    _, index = _proj_index(field)
-    swap_ok = localize(g, index[_proj_canon(field, v)]) == paley_projective(q, (v, u))
+    # <v> = <(0, 1)> is vertex q
+    swap_ok = localize(g, q) == paley_projective(q, ((0, 1), (1, 0)))
 
     det_ok = True
     comp = _complement_within(g, iso)
-    for a in field.elements:
-        if a == field.zero:
-            continue
-        for d in field.elements:
-            if d == field.zero:
-                continue
-            for b in field.elements:
-                phi_u = (a, field.zero)
-                phi_v = (b, d)
-                image = paley_projective(q, (phi_u, phi_v))
-                want = g if field.is_square(field.mul(a, d)) else comp
-                if image != want:
+    for a in range(1, q):
+        for d in range(1, q):
+            want = g if field.is_square(field.mul(a, d)) else comp
+            for b in range(q):
+                if paley_projective(q, ((a, 0), (b, d))) != want:
                     det_ok = False
 
     report = {

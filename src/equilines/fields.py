@@ -1,10 +1,14 @@
 """Small odd finite fields F_q, q = p^e, with explicit quadratic residues.
 
-Elements are coefficient tuples of length e over F_p (constant term first);
-for e > 1 arithmetic is polynomial arithmetic modulo the lexicographically
-smallest monic irreducible polynomial of degree e.  Elements are indexed by
-their base-p digit value, which fixes a deterministic vertex labeling for
-the residue graphs built on top.
+Elements are the integers 0..q-1.  The base-p digits of an element are its
+coefficients over F_p (constant term first) as a polynomial modulo the
+lexicographically smallest monic irreducible polynomial of degree e, so an
+element's value is also its vertex label in the residue graphs built on top.
+
+Arithmetic runs through Zech-logarithm tables built once per q (Lidl and
+Niederreiter, *Finite Fields*, ch. 9): with g the smallest primitive element,
+`exp[k] = g^k`, `log` inverts it, and `zech[k] = log(1 + g^k)`, so that
+g^i + g^j = g^(i + zech[j - i]).
 """
 
 from __future__ import annotations
@@ -71,8 +75,31 @@ def _smallest_irreducible(p, e):
     raise RuntimeError("no irreducible polynomial found")   # unreachable
 
 
+def _primitive_powers(p, e, modulus) -> list:
+    """[g^0, ..., g^(q-2)] as digit values, for the smallest element g of
+    order q - 1 in F_p[x]/(modulus), by polynomial multiplication."""
+    q = p ** e
+    for g in range(2, q):
+        gd = [g // p ** i % p for i in range(e)]
+        powers = [1]
+        cur = [1]
+        while len(powers) < q - 1:
+            conv = [0] * (len(cur) + e - 1)
+            for i, x in enumerate(cur):
+                for j, y in enumerate(gd):
+                    conv[i + j] += x * y
+            cur = _poly_rem(conv, modulus, p)
+            value = sum(c * p ** i for i, c in enumerate(cur))
+            if value == 1:
+                break
+            powers.append(value)
+        else:
+            return powers
+    raise RuntimeError(f"no element of F_{q} has order {q - 1}")
+
+
 class FieldCtx:
-    """Arithmetic context for F_q with q odd."""
+    """Arithmetic context for F_q with q odd; elements are 0..q-1."""
 
     def __init__(self, q: int):
         p, e = _factor_prime_power(q)
@@ -82,64 +109,37 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.modulus = (0, 1) if e == 1 else _smallest_irreducible(p, e)
-        self.zero = (0,) * e
-        self.one = (1,) + (0,) * (e - 1)
-        self.elements = [self.element(i) for i in range(q)]
-        self._products = {}        # memo of polynomial products, e > 1
-        self._inverses = {}
-        squares = {self.mul(x, x) for x in self.elements if x != self.zero}
+        self.order = q - 1          # of the multiplicative group
+        powers = _primitive_powers(p, e, self.modulus)
+        self.exp = powers + powers  # log a + log b < 2(q-1) needs no reduction
+        self.log = [None] * q
+        for k, x in enumerate(powers):
+            self.log[x] = k
+        # 1 + x changes only the constant digit of x; None where 1 + x = 0
+        self.zech = [self.log[x - x % p + (x + 1) % p] for x in powers]
+        squares = {self.mul(x, x) for x in range(1, q)}
         if len(squares) != (q - 1) // 2:
             raise RuntimeError("square count sanity check failed")
         self.squares = frozenset(squares)
 
-    def element(self, index: int) -> tuple:
-        digits = []
-        for _ in range(self.e):
-            digits.append(index % self.p)
-            index //= self.p
-        return tuple(digits)
-
     def add(self, a, b):
-        if self.e == 1:
-            return ((a[0] + b[0]) % self.p,)
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if not a or not b:
+            return a or b
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self.order]
+        return 0 if z is None else self.exp[la + z]
 
     def sub(self, a, b):
-        if self.e == 1:
-            return ((a[0] - b[0]) % self.p,)
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        """a + (-1)b, where -1 = g^((q-1)/2)."""
+        return self.add(a, self.exp[self.log[b] + self.order // 2]) if b else a
 
     def mul(self, a, b):
-        if self.e == 1:
-            return (a[0] * b[0] % self.p,)
-        if (a, b) in self._products:
-            return self._products[a, b]
-        conv = [0] * (2 * self.e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        rem = _poly_rem(conv, list(self.modulus), self.p)
-        rem = rem[:self.e] + [0] * (self.e - len(rem))
-        self._products[a, b] = tuple(rem)
-        return self._products[a, b]
-
-    def pow(self, a, k: int):
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        if a not in self._inverses:
-            self._inverses[a] = self.pow(a, self.q - 2)
-        return self._inverses[a]
+        return self.exp[self.order - self.log[a]]
 
     def is_square(self, a) -> bool:
         """Whether a is a nonzero square."""
@@ -159,8 +159,21 @@ def quad_residue_counts(field: FieldCtx, a) -> tuple:
     Counted by direct enumeration.  For q = 4t+5 and s = t+1 the result is
     (s-1, s) when a is a square and (s, s) otherwise.
     """
-    if a == field.zero:
+    if not a:
         raise ValueError("shift must be nonzero")
-    shifted = {field.add(a, c) for c in field.squares} - {field.zero}
+    shifted = {field.add(a, c) for c in field.squares} - {0}
     in_squares = len(shifted & field.squares)
     return (in_squares, len(shifted) - in_squares)
+
+
+def shifted_square_failure(field: FieldCtx):
+    """The first nonzero shift a, in increasing order, whose counts break the
+    law (s-1, s) for squares and (s, s) otherwise, with s = (q-1)/4, as
+    (a, got, want); None when every shift obeys it."""
+    s = (field.q - 1) // 4
+    for a in range(1, field.q):
+        got = quad_residue_counts(field, a)
+        want = (s - 1, s) if field.is_square(a) else (s, s)
+        if got != want:
+            return a, got, want
+    return None

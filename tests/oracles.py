@@ -12,6 +12,10 @@ element search per unreached target at every level, and
 `pair_orbit_doubly_transitive` grows the orbit of an ordered pair by
 breadth-first search; the library prunes the first by fixed-point masks and
 reads the second off the stabilizer chain.
+
+`TupleField` is F_q as coefficient tuples with polynomial arithmetic modulo
+a given monic irreducible; the library computes with Zech-logarithm tables
+on the integers 0..q-1 instead, labeling a tuple by its base-p digit value.
 """
 
 from fractions import Fraction
@@ -143,3 +147,46 @@ def pair_orbit_doubly_transitive(n, generators) -> bool:
                 orbit.add(pair)
                 queue.append(pair)
     return len(orbit) == n * (n - 1)
+
+
+class TupleField:
+    """F_{p^e} as coefficient tuples of length e over F_p, constant term
+    first, multiplied as polynomials modulo the monic `modulus` of degree e.
+    `index` is the library's label of a tuple: its base-p digit value."""
+
+    def __init__(self, p, e, modulus):
+        self.p, self.e, self.modulus = p, e, tuple(modulus)
+        self.zero = (0,) * e
+        self.one = (1,) + (0,) * (e - 1)
+        self.elements = [self.element(i) for i in range(p ** e)]
+        self.squares = frozenset(self.mul(x, x) for x in self.elements
+                                 if x != self.zero)
+
+    def element(self, index):
+        return tuple(index // self.p ** i % self.p for i in range(self.e))
+
+    def index(self, a):
+        return sum(c * self.p ** i for i, c in enumerate(a))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        e = self.e
+        conv = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):      # subtract c x^(k-e) modulus
+            c = conv[k]
+            for i, m in enumerate(self.modulus):
+                conv[k - e + i] -= c * m
+        return tuple(c % self.p for c in conv[:e])
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return next(b for b in self.elements if self.mul(a, b) == self.one)

@@ -136,6 +136,14 @@ def test_flags_only_where_read():
         assert exc.value.code == 2, argv
 
 
+def test_reproduce_table_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce-table", "--jobs", jobs])
+        assert exc.value.code == 2, jobs
+        assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_main_entry_in_process(capsys):
     assert main(["construct", "pentagon", "--g6"]) == 0
     assert capsys.readouterr().out.strip() == to_graph6(pentagon())

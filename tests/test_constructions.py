@@ -1,5 +1,7 @@
 """Named graphs, the t=1 family structure, fields and Paley constructions."""
 
+import random
+
 import pytest
 
 from equilines import (FieldCtx, SeidelGraph, construct,
@@ -7,6 +9,8 @@ from equilines import (FieldCtx, SeidelGraph, construct,
                        localize, paley_graph, paley_projective, paley_verify,
                        pentagon, quad_residue_counts, sl2_orbit_check,
                        t1_graph, triangle, verify_t1_structure)
+from equilines.constructions import sl2_point_permutations
+from oracles import TupleField
 
 
 def test_construct_dispatch():
@@ -86,6 +90,14 @@ def test_t1_2_is_paley_9():
 # ---------------------------------------------------------------------------
 # fields
 
+def _power(f, a, k):
+    """a^k by k - 1 multiplications, for k >= 1."""
+    out = a
+    for _ in range(k - 1):
+        out = f.mul(out, a)
+    return out
+
+
 def test_field_construction():
     f9 = field_ctx(9)
     assert f9.modulus == (1, 0, 1)   # x^2 + 1 over F_3
@@ -99,16 +111,72 @@ def test_field_construction():
 def test_field_axioms_spot_check(rng):
     for q in (9, 25, 13):
         f = field_ctx(q)
-        elems = f.elements
+        elems = range(q)
         for _ in range(40):
             a, b, c = (rng.choice(elems) for _ in range(3))
             assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        for a in elems:
-            if a != f.zero:
-                assert f.mul(a, f.inv(a)) == f.one
+        for a in range(1, q):
+            assert f.mul(a, f.inv(a)) == 1
         # multiplicative group order q-1
-        assert all(f.pow(a, q - 1) == f.one for a in elems if a != f.zero)
+        assert all(_power(f, a, q - 1) == 1 for a in range(1, q))
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 25, 27, 49, 81, 121, 125))
+def test_field_tables_match_tuple_oracle(q):
+    f = field_ctx(q)
+    o = TupleField(f.p, f.e, f.modulus)
+    el, idx = o.elements, o.index
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    for op, ref in ((f.add, o.add), (f.sub, o.sub), (f.mul, o.mul)):
+        assert [op(a, b) for a, b in pairs] == [idx(ref(el[a], el[b]))
+                                               for a, b in pairs]
+    assert [f.inv(a) for a in range(1, q)] == [idx(o.inv(el[a]))
+                                               for a in range(1, q)]
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    assert f.squares == {idx(x) for x in o.squares}
+
+
+def _oracle_point(o, x, y):
+    """Vertex of <(x, y)> under the library's labeling, in tuple arithmetic."""
+    if x != o.zero:
+        return o.index(o.mul(o.inv(x), y))
+    return len(o.elements)
+
+
+@pytest.mark.parametrize("q", (9, 25, 49, 81))
+def test_paley_constructions_match_tuple_oracle(q):
+    f = field_ctx(q)
+    o = TupleField(f.p, f.e, f.modulus)
+    el = o.elements
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)
+             if o.sub(el[i], el[j]) in o.squares]
+    assert paley_graph(q) == SeidelGraph(q, pairs)
+
+    bases = [(1, 0, 0, 1), (0, 1, 1, 0)]
+    rng = random.Random(q)
+    while len(bases) < 6:
+        basis = tuple(rng.randrange(q) for _ in range(4))
+        u0, u1, v0, v1 = (el[i] for i in basis)
+        if o.sub(o.mul(u0, v1), o.mul(u1, v0)) != o.zero:
+            bases.append(basis)
+    for basis in bases:
+        u0, u1, v0, v1 = (el[i] for i in basis)
+        theta = [_oracle_point(o, o.add(o.mul(lam, u0), v0),
+                               o.add(o.mul(lam, u1), v1)) for lam in el]
+        want = SeidelGraph(q + 1, [(theta[i], theta[j]) for i, j in pairs])
+        assert paley_projective(q, (basis[:2], basis[2:])) == want
+
+    points = [(o.one, y) for y in el] + [(o.zero, o.one)]
+    want = []
+    for k in range(f.e):
+        a = o.element(f.p ** k)
+        want.append(tuple(_oracle_point(o, o.add(x, o.mul(a, y)), y)
+                          for x, y in points))
+        want.append(tuple(_oracle_point(o, x, o.add(o.mul(a, x), y))
+                          for x, y in points))
+    assert sl2_point_permutations(q) == want
 
 
 def test_quad_residues():
@@ -116,33 +184,29 @@ def test_quad_residues():
         f = field_ctx(q)
         C = f.squares
         # non-squares by Euler's criterion, independently of f.squares
-        Cbar = {a for a in f.elements
-                if a != f.zero and f.pow(a, (q - 1) // 2) != f.one}
+        Cbar = {a for a in range(1, q) if _power(f, a, (q - 1) // 2) != 1}
         assert len(C) == len(Cbar) == (q - 1) // 2
         assert all(f.mul(a, b) in C for a in C for b in C)
-        assert C | Cbar == set(f.elements) - {f.zero}
+        assert C | Cbar == set(range(1, q))
 
 
 def test_quad_residue_counts_frozen_values():
     f5 = field_ctx(5)
-    assert quad_residue_counts(f5, f5.element(1)) == (0, 1)
+    assert quad_residue_counts(f5, 1) == (0, 1)
     f13 = field_ctx(13)
-    assert quad_residue_counts(f13, f13.element(1)) == (2, 3)
+    assert quad_residue_counts(f13, 1) == (2, 3)
     f9 = field_ctx(9)
-    nonsquare = next(x for x in f9.elements
-                     if x != f9.zero and not f9.is_square(x))
+    nonsquare = next(x for x in range(1, 9) if not f9.is_square(x))
     assert quad_residue_counts(f9, nonsquare) == (2, 2)
     with pytest.raises(ValueError):
-        quad_residue_counts(f5, f5.zero)
+        quad_residue_counts(f5, 0)
 
 
 def test_quad_residue_count_law():
     for q in (5, 9, 13, 17, 25, 29):
         f = field_ctx(q)
         s = (q - 1) // 4
-        for a in f.elements:
-            if a == f.zero:
-                continue
+        for a in range(1, q):
             want = (s - 1, s) if f.is_square(a) else (s, s)
             assert quad_residue_counts(f, a) == want
 
@@ -185,19 +249,17 @@ def test_paley_projective_shape():
 
 
 def test_paley_projective_degenerate_basis():
-    f = field_ctx(5)
     with pytest.raises(ValueError):
-        paley_projective(5, ((f.one, f.zero), (f.element(2), f.zero)))
+        paley_projective(5, ((1, 0), (2, 0)))
 
 
 def test_paley_projective_localization_identity():
-    from equilines.constructions import _proj_canon, _proj_index, standard_basis
+    from equilines.constructions import _point
     for q in (5, 9, 13):
         f = field_ctx(q)
-        u, v = standard_basis(f)
-        _, index = _proj_index(f)
+        u, v = (1, 0), (0, 1)
         g = paley_projective(q, (u, v))
-        assert localize(g, index[_proj_canon(f, v)]) == paley_projective(q, (v, u))
+        assert localize(g, _point(f, *v)) == paley_projective(q, (v, u))
 
 
 def test_paley_verify_reports():

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equilines import (SeidelGraph, apply_switching, char_poly,
-                       chi_polynomial, embed_lines, paley_projective,
-                       parse_eigenvalue, spectrum, two_eigenvalue_check)
+                       chi_polynomial, conjugate, embed_lines,
+                       paley_projective, parse_eigenvalue, spectrum,
+                       two_eigenvalue_check, two_graph_group)
 from equilines.spectra import (_crt_primes, _integer_rank, _sign_at,
                                poly_divexact, poly_eval, poly_mul, poly_neg,
                                poly_pow)
@@ -112,6 +113,15 @@ def test_char_poly_and_chi_match_bareiss_random(rng):
         assert chi_polynomial(g) == chi_bareiss(g)
         # the CRT modulus covers the largest coefficient seen
         assert math.prod(_crt_primes(n)) > 2 * max(abs(c) for c in coeffs)
+
+
+def test_char_poly_matches_sympy(rng, extensions):
+    sympy = pytest.importorskip("sympy")
+    graphs = [random_graph(rng, rng.randint(1, 12)) for _ in range(30)]
+    graphs += [extensions[n] for n in (6, 10, 16, 28)]
+    for g in graphs:
+        want = sympy.Matrix(g.seidel_matrix()).charpoly().all_coeffs()[::-1]
+        assert list(char_poly(g)) == want
 
 
 def test_crt_primes_are_31_bit_primes():
@@ -214,13 +224,33 @@ def test_spectrum_interval_fallback():
     assert abs(approxes[-1] - (1 + math.sqrt(5))) < 1e-9
 
 
-def test_spectrum_switching_invariance(rng):
+def _relabel_and_switch(rng, g):
+    sigma = list(range(g.n))
+    rng.shuffle(sigma)
+    nu = tuple(rng.choice((-1, 1)) for _ in range(g.n))
+    return apply_switching(conjugate(g, sigma), nu)
+
+
+def _class_invariants(g):
+    return (char_poly(g), chi_polynomial(g), spectrum(g).to_json_dict(),
+            two_graph_group(g).order if g.n >= 3 else None)
+
+
+def test_spectrum_switching_invariance(rng, extensions):
+    """Metamorphic: a random relabeling and switching keeps char_poly, chi,
+    the spectrum, the two-graph group order and, on the extensions, the line
+    systems at both extreme eigenvalues."""
     for _ in range(15):
-        n = rng.randint(2, 6)
-        g = random_graph(rng, n)
-        nu = tuple(rng.choice((-1, 1)) for _ in range(n))
-        assert spectrum(apply_switching(g, nu)).to_json_dict() == \
-            spectrum(g).to_json_dict()
+        g = random_graph(rng, rng.randint(2, 10))
+        assert _class_invariants(_relabel_and_switch(rng, g)) == \
+            _class_invariants(g)
+    for g in extensions.values():
+        h = _relabel_and_switch(rng, g)
+        assert _class_invariants(h) == _class_invariants(g)
+        sp = spectrum(g)
+        for ev in (sp.min_eigenvalue(), sp.max_eigenvalue()):
+            want, got = embed_lines(g, ev.label()), embed_lines(h, ev.label())
+            assert (got.dim, got.cos_exact) == (want.dim, want.cos_exact)
 
 
 def test_spectrum_moments(rng):
