@@ -6,8 +6,7 @@ subcommands read graph6 or the JSON form from --input or standard input.
 Exact numbers are printed as strings so nothing passes through floats.
 
 reproduce-table reruns the battery of pinned results (`equilines.battery`)
-and exits 0 only if every row passes; --jobs N runs rows in parallel
-processes with a fixed output order.
+and exits 0 only if every row passes.
 
 Exit status: 0 on success, 1 on bad input or a failing check, 2 on a usage
 error, 3 when an internal invariant fails (a RuntimeError).
@@ -19,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import constructions, extensibility, groups, spectra
 from .graphs import (SeidelGraph, from_graph6, graph_from_json, graph_to_json,
@@ -164,23 +162,12 @@ def _cmd_paley_verify(args):
 def _cmd_reproduce_table(args):
     from . import battery   # here, so that no other subcommand loads the table
     rows = battery.ROWS + (battery.UNIQUENESS_ROWS if args.uniqueness else [])
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(battery.run_row, rows))
-    else:
-        results = [battery.run_row(row) for row in rows]
+    results = [battery.run_row(row) for row in rows]
     for result in results:
         print(battery.report_line(*result))
     passed = sum(ok for _, ok, _ in results)
     print(f"{passed}/{len(results)} rows passed")
     return 0 if passed == len(results) else 1
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p = add("reproduce-table", _cmd_reproduce_table,
             help="rerun every pinned result and print pass/fail rows")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--uniqueness", action="store_true",
                    help="also run the small exhaustive uniqueness searches")
     for name in GRAPH_READERS:

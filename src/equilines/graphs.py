@@ -177,42 +177,27 @@ def triple_sign(g: SeidelGraph) -> dict:
     return out
 
 
-def distances_from(g: SeidelGraph, x: int) -> list:
-    """BFS distances from x; None marks unreachable vertices."""
-    if not (0 <= x < g.n):
-        raise ValueError(f"vertex {x} out of range for n={g.n}")
-    dist = [None] * g.n
-    dist[x] = 0
-    frontier = [x]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            row = g.adj[u]
-            while row:
-                b = row & -row
-                v = b.bit_length() - 1
-                row ^= b
-                if dist[v] is None:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def neighborhood(g: SeidelGraph, x: int, d) -> frozenset:
     """Vertices at graph distance exactly d from x; d="2+" means >= 2.
 
     Unreachable vertices count as distance infinity, so they appear in the
     "2+" selector and in none of the exact ones.
     """
-    dist = distances_from(g, x)
-    if d == "2+":
-        return frozenset(v for v in range(g.n) if dist[v] is None or dist[v] >= 2)
-    if d not in (0, 1, 2):
+    if not (0 <= x < g.n):
+        raise ValueError(f"vertex {x} out of range for n={g.n}")
+    if d != "2+" and d not in (0, 1, 2):
         raise ValueError(f"distance selector must be 0, 1, 2 or '2+', got {d!r}")
-    return frozenset(v for v in range(g.n) if dist[v] == d)
+    if d == 0:
+        return frozenset((x,))
+    if d == 1:
+        return g.neighbors(x)
+    beyond = ((1 << g.n) - 1) & ~g.adj[x] & ~(1 << x)
+    if d == 2:
+        reach = 0
+        for u in _bits(g.adj[x]):
+            reach |= g.adj[u]
+        beyond &= reach
+    return frozenset(_bits(beyond))
 
 
 def complement(g: SeidelGraph) -> SeidelGraph:
@@ -234,19 +219,12 @@ def to_graph6(g: SeidelGraph) -> str:
         head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
         raise ValueError("graph6 encoding limited to n <= 258047 here")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((g.adj[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k:k + 6]:
-            v = (v << 1) | b
-        body.append(v + 63)
-    return "".join(chr(c) for c in head + body)
+    # column j is bits 0..j-1 of row j, lowest first
+    bits = "".join(format(row & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j, row in enumerate(g.adj) if j)
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(c) for c in head) + "".join(
+        chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def from_graph6(text) -> SeidelGraph:
@@ -274,18 +252,11 @@ def from_graph6(text) -> SeidelGraph:
     need = n * (n - 1) // 2
     if len(data) != (need + 5) // 6:
         raise ValueError("graph6 body has the wrong length")
-    bits = []
-    for v in data:
-        for k in range(5, -1, -1):
-            bits.append((v >> k) & 1)
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return SeidelGraph(n, edges)
+    bits = "".join(format(v, "06b") for v in data)
+    # column j holds the pairs (i, j), i < j, from bit j(j-1)/2 on
+    return SeidelGraph(n, [(i, j) for j in range(1, n)
+                           for i, b in enumerate(bits[j * (j - 1) // 2:j * (j + 1) // 2])
+                           if b == "1"])
 
 
 def graph_to_json(g: SeidelGraph) -> dict:

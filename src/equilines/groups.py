@@ -352,7 +352,9 @@ def _group_by_search(n, find_with_prefix, search):
             if all(masks[v] == 1 << v for v in range(i, n)):
                 levels.extend((k, {k: ident}) for k in range(i, n))
                 break
-        fixed = [g for g in gens if all(g[j] == j for j in range(i))]
+        # every earlier generator moves the base point of its own level, so
+        # none fixes 0..i-1: the stabilizer's generators start with this level
+        fixed = []
         trans = {i: ident}
 
         def close(starts):

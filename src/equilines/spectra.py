@@ -1,13 +1,16 @@
 """Exact spectra of the +1/-1 matrix of a graph, the parametrized
 determinant det(S(1, c)), and synthesis of equiangular line systems.
 
-The exact layer works in Z[x]: det(xI - E) comes from Hessenberg reduction
-modulo word-size primes joined by CRT, det(S(1, c)) from it by substitution,
-eigenvalues are read off by pulling out integer roots (Gershgorin: in
-[2 - n, n]) and copies of x^2 - 2x - (q-1), q = n - 1 (the values
-1 +/- sqrt(q)), and whatever remains is isolated by Sturm sequences into
-certified rational intervals.  No floating point enters until a line system
-is synthesized, and then the exact Gram matrix is kept alongside the vectors.
+The exact layer works in Z[x] only: det(xI - E) comes from Hessenberg
+reduction modulo word-size primes joined by CRT, det(S(1, c)) from it by
+substitution, eigenvalues are read off by pulling out integer roots
+(Gershgorin: in [2 - n, n]) and copies of x^2 - 2x - (q-1), q = n - 1 (the
+values 1 +/- sqrt(q)).  Whatever remains is monic, so its gcds and square-free
+(Yun) factors are monic in Z[x] too; each factor's roots are isolated by a
+Sturm chain of integer polynomials (positive multiples of the remainders,
+which keep every sign) into certified rational intervals.  No floating point
+enters until a line system is synthesized, and then the exact Gram matrix is
+kept alongside the vectors.
 
 A value lam in the spectrum with matrix S(1, c), c = 1/(1 - lam), positive
 semidefinite (lam extreme) yields n unit vectors in dimension n - m(lam)
@@ -89,36 +92,32 @@ def poly_divexact(num, den):
     return poly_trim(q)
 
 
-def poly_divmod_q(a, b):
-    """Quotient and remainder over the rationals (Fraction coefficients)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        poly_trim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for j, d in enumerate(b):
-            a[j + k] -= c * d
-        poly_trim(a)
-    return poly_trim(q), poly_trim(a)
-
-
-def _fpoly_gcd(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
+def _remainder(a, b):
+    """The remainder of a by b over Q times a positive rational: an integer
+    polynomial with coprime coefficients, [] when b divides a.  Each step
+    scales by |lc(b)|, which keeps the sign, and cancels the leading term."""
+    a, n = list(a), len(b) - 1
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) > n:
+        c = sign * a.pop()
+        if c:
+            k = len(a) - n
+            if scale != 1:
+                a = [scale * x for x in a]
+            for j, d in enumerate(b[:n]):
+                a[k + j] -= c * d
     poly_trim(a)
-    poly_trim(b)
+    content = math.gcd(*a)
+    return [x // content for x in a] if content > 1 else a
+
+
+def _gcd(a, b):
+    """gcd in Z[x], primitive with a positive leading coefficient; by Gauss's
+    lemma it is monic when a is."""
     while b:
-        _, r = poly_divmod_q(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        a, b = b, _remainder(a, b)
+    content = math.gcd(*a) * (1 if a[-1] > 0 else -1)
+    return [x // content for x in a]
 
 
 def poly_derivative(a):
@@ -332,14 +331,10 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
     return Eigenvalue(1, rational=Fraction(s))
 
 
-# Sturm sequences for whatever the exact factor steps leave.  The chain is
-# built over Fraction, then each member is scaled by a positive integer, which
-# keeps every sign, so signs at rational points need integer arithmetic only.
-
-def _clear_denominators(p):
-    scale = math.lcm(*(c.denominator for c in p))
-    return [c.numerator * (scale // c.denominator) for c in p]
-
+# Sturm sequences for whatever the exact factor steps leave.  A Sturm chain
+# needs only the signs of its members, so each remainder may be replaced by a
+# positive multiple: the chain stays in Z[x], and signs at rational points
+# need integer arithmetic only.
 
 def _sign_at(p, x) -> int:
     """Sign of the integer polynomial p at the rational x = a/b, read from
@@ -352,13 +347,13 @@ def _sign_at(p, x) -> int:
 
 
 def _sturm_chain(p):
-    chain = [[Fraction(c) for c in p], [Fraction(c) for c in poly_derivative(p)]]
+    chain = [p, poly_derivative(p)]
     while chain[-1]:
-        _, r = poly_divmod_q(chain[-2], chain[-1])
+        r = _remainder(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
-    return [_clear_denominators(c) for c in chain]
+        chain.append(poly_neg(r))
+    return chain
 
 
 def _sign_variations(chain, x):
@@ -368,29 +363,32 @@ def _sign_variations(chain, x):
 
 def _isolate_real_roots(p, precision=Fraction(1, 10 ** 13)):
     """Disjoint rational intervals, one simple real root each, of a
-    square-free integer polynomial."""
+    square-free integer polynomial.  The Sturm count splits cells until each
+    holds one root, reading the chain once per split point; that root is then
+    narrowed by the sign of p alone, since no end of a cell is a root."""
     if len(p) <= 1:
         return []
     chain = _sturm_chain(p)
     bound = Fraction(1) + max(abs(Fraction(c, p[-1])) for c in p[:-1])
 
-    def count(lo, hi):
-        return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
     out = []
-    stack = [(-bound - 1, bound + 1)]
+    lo, hi = -bound - 1, bound + 1
+    stack = [(lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi))]
     while stack:
-        lo, hi = stack.pop()
-        k = count(lo, hi)
+        lo, hi, v_lo, v_hi = stack.pop()
+        k = v_lo - v_hi
         if k == 0:
             continue
         if k == 1:
+            s_lo = _sign_at(p, lo)
             while hi - lo > precision:
                 mid = (lo + hi) / 2
-                if _sign_at(p, mid) == 0:
+                s_mid = _sign_at(p, mid)
+                if s_mid == 0:
                     # nudge the endpoint; roots of the residual are irrational
                     mid += precision / 7
-                if count(lo, mid) == 1:
+                    s_mid = _sign_at(p, mid)
+                if s_mid != s_lo:
                     hi = mid
                 else:
                     lo = mid
@@ -399,8 +397,9 @@ def _isolate_real_roots(p, precision=Fraction(1, 10 ** 13)):
         mid = (lo + hi) / 2
         if _sign_at(p, mid) == 0:
             mid += precision / 7
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        v_mid = _sign_variations(chain, mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
     return sorted(out)
 
 
@@ -423,20 +422,21 @@ def _integer_rank(rows) -> int:
 
 
 def _squarefree_parts(p):
-    """Yun decomposition: list of (square-free factor, multiplicity)."""
+    """Yun decomposition of a monic integer polynomial: list of (square-free
+    factor, multiplicity), every factor monic in Z[x]."""
     parts = []
-    g = _fpoly_gcd(p, poly_derivative(p))
+    g = _gcd(p, poly_derivative(p))
     if len(g) <= 1:
         return [(p, 1)]
-    w, _ = poly_divmod_q(p, g)
+    w = poly_divexact(p, g)
     mult = 1
     while len(w) > 1:
-        nxt = _fpoly_gcd(w, g)
-        factor, _ = poly_divmod_q(w, nxt)
+        nxt = _gcd(w, g)
+        factor = poly_divexact(w, nxt)
         if len(factor) > 1:
             parts.append((factor, mult))
         w = nxt
-        g, _ = poly_divmod_q(g, nxt)
+        g = poly_divexact(g, nxt)
         mult += 1
     return parts
 
@@ -480,7 +480,7 @@ def spectrum(g: SeidelGraph) -> SeidelSpectrum:
 
     # certified intervals for anything left
     for factor, mult in (_squarefree_parts(p) if len(p) > 1 else []):
-        for lo, hi in _isolate_real_roots(_clear_denominators(factor)):
+        for lo, hi in _isolate_real_roots(factor):
             found.append(Eigenvalue(mult, interval=(lo, hi)))
 
     found.sort(key=lambda ev: -ev.approx)
@@ -538,7 +538,7 @@ def two_eigenvalue_check(g: SeidelGraph) -> bool:
     counts distinct roots.
     """
     p = list(char_poly(g))
-    gcd = _fpoly_gcd(p, poly_derivative(p))
+    gcd = _gcd(p, poly_derivative(p))
     return (len(p) - 1) - (len(gcd) - 1) <= 2
 
 

@@ -197,8 +197,9 @@ def test_graph6_roundtrip(g):
 
 def test_graph6_against_networkx(rng):
     nx = pytest.importorskip("networkx")
-    for _ in range(100):
-        g = random_graph(rng, rng.randint(1, 13))
+    # 62 and 63 straddle the switch to the four-byte size header
+    for n in [rng.randint(1, 13) for _ in range(100)] + [62, 63]:
+        g = random_graph(rng, n)
         blob = to_graph6(g)
         h = nx.from_graph6_bytes(blob.encode())
         assert h.number_of_nodes() == g.n

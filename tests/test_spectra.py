@@ -17,8 +17,8 @@ from equilines import (SeidelGraph, apply_switching, char_poly,
                        chi_polynomial, conjugate, embed_lines,
                        paley_projective, parse_eigenvalue, spectrum,
                        two_eigenvalue_check, two_graph_group)
-from equilines.spectra import (_crt_primes, _integer_rank, _sign_at,
-                               poly_divexact, poly_eval, poly_mul, poly_neg,
+from equilines.spectra import (_crt_primes, _gcd, _integer_rank, _remainder,
+                               _sign_at, _squarefree_parts, poly_divexact, poly_eval, poly_mul, poly_neg,
                                poly_pow)
 from equilines.battery import expand
 
@@ -222,6 +222,83 @@ def test_spectrum_interval_fallback():
     approxes = sorted(ev.approx for ev in sp.eigenvalues)
     assert abs(approxes[0] - (1 - math.sqrt(5))) < 1e-9
     assert abs(approxes[-1] - (1 + math.sqrt(5))) < 1e-9
+
+
+def test_interval_eigenvalues_against_sympy(rng):
+    """Each interval (lo, hi] holds exactly one root of det(xI - E), every
+    multiplicity is the one sympy's square-free factorization gives, and the
+    eigenvalues account for every distinct root.  Cycles add interval
+    eigenvalues of multiplicity 2."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    graphs = [SeidelGraph(n, [(i, (i + 1) % n) for i in range(n)])
+              for n in (7, 9, 11, 13)]
+    while len(graphs) < 34:
+        g = random_graph(rng, rng.randint(4, 14))
+        if not spectrum(g).is_exact:
+            graphs.append(g)
+    for g in graphs:
+        poly = sympy.Poly(list(reversed(char_poly(g))), x)
+        _, parts = poly.sqf_list()
+        sp = spectrum(g)
+        assert sp.distinct_count() == poly.sqf_part().degree()
+        for ev in sp.eigenvalues:
+            if ev.interval is not None:
+                lo, hi = (sympy.Rational(v.numerator, v.denominator)
+                          for v in ev.interval)
+                assert lo < hi and poly.eval(lo) != 0 and poly.eval(hi) != 0
+                counts = [(f.count_roots(lo, hi), k) for f, k in parts]
+                assert sorted(counts, reverse=True)[0] == (1, ev.multiplicity)
+                assert sum(c for c, _ in counts) == 1
+            else:
+                if ev.rational is not None:
+                    r = ev.rational
+                    minimal = sympy.Poly(r.denominator * x - r.numerator, x)
+                else:
+                    a, _, d = ev.quad
+                    minimal = sympy.Poly(x ** 2 - 2 * a * x + a * a - d, x)
+                assert [k for f, k in parts if f.rem(minimal).is_zero] == \
+                    [ev.multiplicity]
+        bounds = sorted(ev.interval for ev in sp.eigenvalues if ev.interval)
+        assert all(a[1] < b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+def _random_monic(rng, degree):
+    return [rng.randint(-4, 4) for _ in range(degree)] + [1]
+
+
+def test_integer_gcd_remainder_and_yun_against_sympy(rng):
+    """The Z[x] remainder is a positive multiple of sympy's remainder over Q;
+    the gcd and the square-free parts of monic products with repeated
+    factors are sympy's."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(coeffs):
+        return sympy.Poly(list(reversed(coeffs)), x, domain="QQ")
+
+    for _ in range(60):
+        a = [rng.randint(-30, 30) for _ in range(rng.randint(1, 9))] + [rng.randint(1, 9)]
+        b = [rng.randint(-30, 30) for _ in range(rng.randint(0, 5))] + [rng.choice((-6, -1, 2, 5))]
+        want, got = poly(a).rem(poly(b)), _remainder(a, b)
+        if want.is_zero:
+            assert got == []
+            continue
+        ratio = poly(got).LC() / want.LC()
+        assert ratio > 0 and poly(got) == want * ratio
+        assert math.gcd(*got) == 1
+    for _ in range(40):
+        factors = [_random_monic(rng, rng.randint(1, 3)) for _ in range(3)]
+        a = expand(*((f, rng.randint(0, 3)) for f in factors))
+        b = expand(*((f, rng.randint(0, 3)) for f in factors))
+        want = sympy.gcd(sympy.Poly(list(reversed(a)), x),
+                         sympy.Poly(list(reversed(b)), x))
+        assert _gcd(a, b) == [int(c) for c in reversed(want.all_coeffs())]
+        if len(a) > 1:
+            _, parts = sympy.Poly(list(reversed(a)), x).sqf_list()
+            assert sorted((tuple(f), k) for f, k in _squarefree_parts(a)) == \
+                sorted((tuple(int(c) for c in reversed(f.all_coeffs())), k)
+                       for f, k in parts)
 
 
 def _relabel_and_switch(rng, g):
