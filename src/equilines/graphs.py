@@ -14,7 +14,11 @@ cheap fingerprint of the switching class.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, zip_longest
+
+# '0' -> +1 and '1' -> -1 as signed bytes: a row's bit string, lowest bit
+# first, becomes its row of E in one translate
+_SIGNS = bytes.maketrans(b"01", b"\x01\xff")
 
 
 class SeidelGraph:
@@ -66,8 +70,11 @@ class SeidelGraph:
         return -1 if self.adjacent(i, j) else 1
 
     def seidel_matrix(self) -> list:
-        return [[self.seidel_entry(i, j) for j in range(self.n)]
-                for i in range(self.n)]
+        """E as a list of integer rows, each read off its adjacency bits (the
+        diagonal bit is clear, so it reads +1)."""
+        width = f"0{self.n}b"
+        return [memoryview(format(row, width)[::-1].encode().translate(_SIGNS))
+                .cast("b").tolist() for row in self.adj]
 
     def __eq__(self, other):
         return (isinstance(other, SeidelGraph)
@@ -97,20 +104,18 @@ def check_switching_vector(nu, n: int) -> tuple:
     return nu
 
 
+def _switch(g: SeidelGraph, minus: int) -> SeidelGraph:
+    """Switch g by the sign vector that is -1 exactly on the bits of minus:
+    row i flips the vertices of the other sign, which never include i."""
+    plus = ((1 << g.n) - 1) ^ minus
+    return SeidelGraph._from_adj(g.n, [row ^ (plus if (minus >> i) & 1 else minus)
+                                       for i, row in enumerate(g.adj)])
+
+
 def apply_switching(g: SeidelGraph, nu) -> SeidelGraph:
     """Switch g by nu: the pair (i,j) flips adjacency iff nu[i]*nu[j] = -1."""
     nu = check_switching_vector(nu, g.n)
-    minus = 0
-    for i, v in enumerate(nu):
-        if v < 0:
-            minus |= 1 << i
-    full = (1 << g.n) - 1
-    adj = []
-    for i in range(g.n):
-        flip = (full ^ minus) if (minus >> i) & 1 else minus
-        flip &= ~(1 << i)
-        adj.append(g.adj[i] ^ flip)
-    return SeidelGraph._from_adj(g.n, adj)
+    return _switch(g, sum(1 << i for i, v in enumerate(nu) if v < 0))
 
 
 def localization_vector(g: SeidelGraph, j: int) -> tuple:
@@ -121,8 +126,11 @@ def localization_vector(g: SeidelGraph, j: int) -> tuple:
 
 
 def localize(g: SeidelGraph, j: int) -> SeidelGraph:
-    """The unique graph in the switching class of g in which j is isolated."""
-    return apply_switching(g, localization_vector(g, j))
+    """The unique graph in the switching class of g in which j is isolated:
+    g switched by -1 on the neighbors of j."""
+    if not (0 <= j < g.n):
+        raise ValueError(f"vertex {j} out of range for n={g.n}")
+    return _switch(g, g.adj[j])
 
 
 def conjugate(g: SeidelGraph, sigma) -> SeidelGraph:
@@ -130,16 +138,15 @@ def conjugate(g: SeidelGraph, sigma) -> SeidelGraph:
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(g.n)):
         raise ValueError("sigma is not a permutation of the vertex set")
+    image = [1 << s for s in sigma]
     adj = [0] * g.n
-    for i in range(g.n):
-        si = sigma[i]
-        row = g.adj[i]
+    for i, row in enumerate(g.adj):
         new = 0
         while row:
             b = row & -row
-            new |= 1 << sigma[b.bit_length() - 1]
+            new |= image[b.bit_length() - 1]
             row ^= b
-        adj[si] = new
+        adj[sigma[i]] = new
     return SeidelGraph._from_adj(g.n, adj)
 
 
@@ -210,6 +217,10 @@ def complement(g: SeidelGraph) -> SeidelGraph:
 # ---------------------------------------------------------------------------
 # graph6 and JSON serialization
 
+# str.translate table: each graph6 body character to its six bits
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
+
 def to_graph6(g: SeidelGraph) -> str:
     """Encode in graph6 (no header): N(n) then the upper triangle by columns."""
     n = g.n
@@ -236,27 +247,31 @@ def from_graph6(text) -> SeidelGraph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ValueError("empty graph6 input")
-    data = [ord(c) - 63 for c in s]
-    if any(v < 0 or v > 63 for v in data):
+    if min(s) < "?" or max(s) > "~":
         raise ValueError("invalid graph6 character")
-    if data[0] == 63:
-        if len(data) < 4:
+    if s[0] == "~":
+        if len(s) < 4:
             raise ValueError("truncated graph6 size")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        data = data[4:]
+        n = (ord(s[1]) - 63 << 12) | (ord(s[2]) - 63 << 6) | (ord(s[3]) - 63)
+        body = s[4:]
     else:
-        n = data[0]
-        data = data[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     if n < 1:
         raise ValueError("graph6 with zero vertices not supported")
     need = n * (n - 1) // 2
-    if len(data) != (need + 5) // 6:
+    if len(body) != (need + 5) // 6:
         raise ValueError("graph6 body has the wrong length")
-    bits = "".join(format(v, "06b") for v in data)
-    # column j holds the pairs (i, j), i < j, from bit j(j-1)/2 on
-    return SeidelGraph(n, [(i, j) for j in range(1, n)
-                           for i, b in enumerate(bits[j * (j - 1) // 2:j * (j + 1) // 2])
-                           if b == "1"])
+    bits = body.translate(_G6_BITS)
+    # column j holds the pairs (i, j), i < j, from bit j(j-1)/2 on: read
+    # lowest i first, it is the part of row j below the diagonal
+    cols = [bits[j * (j - 1) // 2:j * (j + 1) // 2] for j in range(1, n)]
+    adj = [0] + [int(col[::-1], 2) for col in cols]
+    # row i of the transpose holds the pairs (i, j), j = 1..n-1, padded with
+    # "0" where j <= i: the part of row i above the diagonal
+    for i, pairs in enumerate(zip_longest(*cols, fillvalue="0")):
+        adj[i] |= int("".join(pairs)[::-1], 2) << 1
+    return SeidelGraph._from_adj(n, adj)
 
 
 def graph_to_json(g: SeidelGraph) -> dict:

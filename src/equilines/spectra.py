@@ -2,7 +2,8 @@
 determinant det(S(1, c)), and synthesis of equiangular line systems.
 
 The exact layer works in Z[x] only: det(xI - E) comes from Hessenberg
-reduction modulo word-size primes joined by CRT, det(S(1, c)) from it by
+reduction modulo the fewest primes below 2^78 whose product covers Hadamard's
+bound (one for n <= 30), joined by CRT; det(S(1, c)) comes from it by
 substitution, eigenvalues are read off by pulling out integer roots
 (Gershgorin: in [2 - n, n]) and copies of x^2 - 2x - (q-1), q = n - 1 (the
 values 1 +/- sqrt(q)).  Whatever remains is monic, so its gcds and square-free
@@ -127,28 +128,64 @@ def poly_derivative(a):
 _CACHE_SIZE = 32     # an analysis revisits a graph; a long run sees many
 
 
+# Miller-Rabin with the prime bases 2..37 is deterministic below
+# psi_12 = 318665857834031151167461 > 2^78 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PRODUCT = math.prod(_MR_BASES)
+_PRIME_BITS = 78
+
+
 def _is_prime(m: int) -> bool:
-    """Miller-Rabin, deterministic for odd 7 < m < 3215031751 with these bases."""
+    """Miller-Rabin with the bases 2..37, deterministic for odd m with
+    37 < m < psi_12 = 318665857834031151167461.  Such an m sharing a factor
+    with a base is composite; that gcd spares most candidates any power."""
+    if math.gcd(m, _MR_PRODUCT) != 1:
+        return False
     s = ((m - 1) & (1 - m)).bit_length() - 1          # m - 1 = d * 2^s, d odd
-    return all(pow(a, (m - 1) >> s, m) == 1
-               or any(pow(a, (m - 1) >> r, m) == m - 1 for r in range(1, s + 1))
-               for a in (2, 3, 5, 7))
+    d = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_below(limit: int, k: int) -> list:
+    """The k largest primes below limit (odd limit - 1 > 37)."""
+    primes, c = [], limit - 1
+    while len(primes) < k:
+        if _is_prime(c):
+            primes.append(c)
+        c -= 2
+    return primes
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _crt_primes(n: int) -> tuple:
-    """The largest primes below 2^31 whose product exceeds twice the largest
-    possible |coefficient| of det(xI - E) for an n x n +1/-1 matrix E.  The
-    coefficient of x^(n-m) is +/- a sum of C(n, m) principal m x m minors,
-    each at most m^(m/2) in absolute value (Hadamard)."""
-    bound = max(math.comb(n, m) * (math.isqrt(m ** m) + 1) for m in range(n + 1))
-    primes, product, c = [], 1, 2 ** 31 + 1
-    while product <= 2 * bound:
-        c -= 2
-        if _is_prime(c):
-            primes.append(c)
-            product *= c
-    return tuple(primes)
+    """The fewest primes below 2^78 whose product exceeds twice the largest
+    possible |coefficient| of det(xI - E) for an n x n +1/-1 matrix E, each
+    as narrow as that count allows: the k largest primes below 2^b for the
+    least b.  The coefficient of x^(n-m) is +/- a sum of C(n, m) principal
+    m x m minors, each at most m^(m/2) in absolute value (Hadamard).  A pass
+    costs about as much at 78 bits as at 31, so one wide prime beats several
+    narrow ones, but no graph pays for a wider prime than it needs; b >= 8
+    keeps every candidate above 37."""
+    target = 2 * max(math.comb(n, m) * (math.isqrt(m ** m) + 1) for m in range(n + 1))
+    k = -(-target.bit_length() // _PRIME_BITS)
+    while True:
+        # k primes below 2^b multiply to less than 2^(k b): start at k b >= len
+        for b in range(max(-(-target.bit_length() // k), 8), _PRIME_BITS + 1):
+            primes = _primes_below(1 << b, k)
+            if math.prod(primes) > target:
+                return tuple(primes)
+        k += 1
 
 
 def _char_poly_mod(e, p):
@@ -191,10 +228,12 @@ def _char_poly_mod(e, p):
 @lru_cache(maxsize=_CACHE_SIZE)
 def char_poly(g: SeidelGraph) -> tuple:
     """det(xI - E) as an exact coefficient tuple, constant term first: the
-    residues modulo _crt_primes joined by CRT, read in the symmetric range."""
+    residues modulo _crt_primes joined by CRT (one prime, so no join, for
+    n <= 30), read in the symmetric range."""
     e = g.seidel_matrix()
-    value, modulus = [0] * (g.n + 1), 1
-    for p in _crt_primes(g.n):
+    first, *rest = _crt_primes(g.n)
+    value, modulus = _char_poly_mod(e, first), first
+    for p in rest:
         k = pow(modulus, -1, p)
         value = [v + modulus * ((r - v) * k % p)
                  for v, r in zip(value, _char_poly_mod(e, p))]
@@ -484,15 +523,14 @@ def spectrum(g: SeidelGraph) -> SeidelSpectrum:
             found.append(Eigenvalue(mult, interval=(lo, hi)))
 
     found.sort(key=lambda ev: -ev.approx)
-    # cross-check rational multiplicities against the exact rank of
-    # b*E - a*I, lam = a/b (b = 1 here: char_poly is monic)
+    # cross-check rational multiplicities against the exact rank of E - lam I
+    # (every rational root is one of the integers tried above)
+    e = g.seidel_matrix()
     for ev in found:
         if ev.rational is None:
             continue
-        lam = ev.rational
-        shifted = [[lam.denominator * g.seidel_entry(i, j)
-                    - (lam.numerator if i == j else 0)
-                    for j in range(n)] for i in range(n)]
+        lam = ev.rational.numerator
+        shifted = [row[:i] + [row[i] - lam] + row[i + 1:] for i, row in enumerate(e)]
         if n - _integer_rank(shifted) != ev.multiplicity:
             raise RuntimeError(f"rank check failed for eigenvalue {lam}")
     spec = SeidelSpectrum(n, tuple(found))
@@ -608,12 +646,15 @@ def embed_lines(g: SeidelGraph, value, tol=1e-9) -> LineSystem:
         c_str = f"{'-' if sgn > 0 else ''}1/sqrt({d})"
         edge_str = f"{'-' if sgn < 0 else ''}1/sqrt({d})"
     # off-diagonal entries are c E[i][j]: c on non-edges, -c on edges
-    strs, floats = (c_str, edge_str), (c, -c)
-    bits = [[(row >> j) & 1 for j in range(n)] for row in g.adj]
-    gram_exact = tuple(tuple("1" if i == j else strs[b] for j, b in enumerate(r))
-                       for i, r in enumerate(bits))
-    gram = np.array([[1.0 if i == j else floats[b] for j, b in enumerate(r)]
-                     for i, r in enumerate(bits)])
+    rows = g.seidel_matrix()
+    strs = {1: c_str, -1: edge_str}
+    gram_exact = []
+    for i, row in enumerate(rows):
+        entries = list(map(strs.__getitem__, row))
+        entries[i] = "1"
+        gram_exact.append(tuple(entries))
+    gram = np.array(rows, dtype=float) * c
+    np.fill_diagonal(gram, 1.0)
 
     vals, vecs = np.linalg.eigh(gram)
     rank = n - ev.multiplicity
@@ -636,6 +677,6 @@ def embed_lines(g: SeidelGraph, value, tol=1e-9) -> LineSystem:
         sign=1 if c > 0 else -1,
         eigenvalue=ev,
         vectors=tuple(map(tuple, basis.tolist())),
-        gram_exact=gram_exact,
+        gram_exact=tuple(gram_exact),
         residual=residual,
     )

@@ -4,8 +4,9 @@ searches.
 `bareiss_det` expands determinants over Z[x] by fraction-free elimination;
 `char_poly_bareiss` and `chi_bareiss` apply it to the defining matrices of
 det(xI - E) and det(S(1, c)), which the library derives instead from a
-multi-modular Hessenberg reduction.  `rational_rank` is plain Gaussian
-elimination over Fraction.
+multi-modular Hessenberg reduction.  `integer_det` is the same elimination
+over Z, for values det(kI - E) at integers k.  `rational_rank` is plain
+Gaussian elimination over Fraction.
 
 `group_by_search_unpruned` is the stabilizer-chain search that issues one
 element search per unreached target at every level, and
@@ -77,6 +78,25 @@ def chi_bareiss(g) -> tuple:
     n = g.n
     return tuple(bareiss_det([[[1] if i == j else [0, g.seidel_entry(i, j)]
                                for j in range(n)] for i in range(n)]))
+
+
+def integer_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination with row swaps."""
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0
+            m[k], m[r], sign = m[r], m[k], -sign
+        piv, top = m[k][k], m[k][k + 1:]
+        for i in range(k + 1, n):
+            head = m[i][k]
+            m[i][k + 1:] = [(piv * a - head * b) // prev for a, b in zip(m[i][k + 1:], top)]
+        prev = piv
+    return sign * m[-1][-1]
 
 
 def rational_rank(rows) -> int:

@@ -118,6 +118,24 @@ def test_conjugate_is_a_group_action():
         conjugate(g, (0, 0, 1, 2, 3))
 
 
+def test_bitset_builders_match_definitions(rng):
+    cases = [SeidelGraph(1), SeidelGraph(9)]
+    cases += [random_graph(rng, n) for n in [2, 3] + [rng.randint(4, 40) for _ in range(12)]]
+    for g in cases:
+        n = g.n
+        assert g.seidel_matrix() == [[g.seidel_entry(i, j) for j in range(n)]
+                                     for i in range(n)]
+        for j in range(n):
+            assert localize(g, j) == apply_switching(g, localization_vector(g, j))
+        for bad in (-1, n):
+            with pytest.raises(ValueError):
+                localize(g, bad)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        relabeled = {frozenset((sigma[i], sigma[j])) for i, j in g.edges()}
+        assert {frozenset(e) for e in conjugate(g, sigma).edges()} == relabeled
+
+
 @given(graphs(max_n=6), st.data())
 @settings(max_examples=60)
 def test_conjugation_commutes_with_localization(g, data):

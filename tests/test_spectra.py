@@ -17,13 +17,14 @@ from equilines import (SeidelGraph, apply_switching, char_poly,
                        chi_polynomial, conjugate, embed_lines,
                        paley_projective, parse_eigenvalue, spectrum,
                        two_eigenvalue_check, two_graph_group)
-from equilines.spectra import (_crt_primes, _gcd, _integer_rank, _remainder,
+from equilines.spectra import (_crt_primes, _gcd, _integer_rank, _is_prime, _remainder,
                                _sign_at, _squarefree_parts, poly_divexact, poly_eval, poly_mul, poly_neg,
                                poly_pow)
 from equilines.battery import expand
 
 from conftest import random_graph
-from oracles import bareiss_det, char_poly_bareiss, chi_bareiss, rational_rank
+from oracles import (bareiss_det, char_poly_bareiss, chi_bareiss, integer_det,
+                     rational_rank)
 
 
 def test_poly_helpers():
@@ -124,15 +125,42 @@ def test_char_poly_matches_sympy(rng, extensions):
         assert list(char_poly(g)) == want
 
 
-def test_crt_primes_are_31_bit_primes():
+def test_crt_primes_are_distinct_primes_below_2_78():
+    sympy = pytest.importorskip("sympy")
     used = set()
     for n in range(1, 130):
         primes = _crt_primes(n)
         assert len(set(primes)) == len(primes)
         used.update(primes)
     for p in used:
-        assert 2 ** 30 < p < 2 ** 31
-        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        assert 37 < p < 2 ** 78
+        assert sympy.isprime(p)
+
+
+def test_is_prime_is_miller_rabin_to_twelve_bases(rng):
+    sympy = pytest.importorskip("sympy")
+    # psi_1..psi_11: the least strong pseudoprimes to the first 1..11 prime
+    # bases, so each fools a prefix of the bases but not all twelve
+    for m in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not _is_prime(m)
+    for _ in range(2000):
+        m = rng.randrange(39, 2 ** 78, 2)
+        assert _is_prime(m) == sympy.isprime(m)
+
+
+def test_char_poly_crt_join_matches_integer_determinants(rng):
+    # n > 30 needs two primes; a monic polynomial of degree n is fixed by its
+    # values at the n + 1 points k = 0..n, here det(kI - E)
+    for n in range(32, 37):
+        assert len(_crt_primes(n)) >= 2
+        g = random_graph(rng, n)
+        e, p = g.seidel_matrix(), char_poly(g)
+        assert len(p) == n + 1 and p[-1] == 1
+        for k in range(n + 1):
+            shifted = [[(k if i == j else 0) - x for j, x in enumerate(row)]
+                       for i, row in enumerate(e)]
+            assert poly_eval(p, k) == integer_det(shifted)
 
 
 def test_integer_rank_matches_fraction_rank(rng):
